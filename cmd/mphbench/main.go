@@ -301,16 +301,13 @@ func p1(repeat int) error {
 		return float64(d.Nanoseconds()) / iters, nil
 	}
 	// measureTelemetry runs the same hot loop while a background reporter
-	// snapshots the rank's pvars every interval and pushes them to a live
-	// telemetry aggregator over TCP — the exact work MPH_STATS_INTERVAL adds
-	// to a job. The hot path itself is untouched (snapshots are atomic
-	// reads on another goroutine), so the budget in ISSUE/DESIGN is ≤5%.
+	// snapshots the rank's pvars every interval and pushes them over a
+	// control session to a live telemetry aggregator — the exact work
+	// mphrun -stats-interval adds to a job. The hot path itself is untouched
+	// (snapshots are atomic reads on another goroutine), so the budget in
+	// DESIGN.md is ≤5%.
 	measureTelemetry := func(interval time.Duration) (nsPerOp float64, err error) {
-		tele, err := mpirun.NewTelemetry("", 1)
-		if err != nil {
-			return 0, err
-		}
-		defer tele.Close()
+		tele := mpirun.NewTelemetry(1, interval)
 		d, err := timeIt(repeat, func() error {
 			w, err := mpi.NewWorld(1)
 			if err != nil {
@@ -321,7 +318,14 @@ func p1(repeat int) error {
 			if err != nil {
 				return err
 			}
-			client, err := mpirun.DialTelemetry(tele.Addr(), 0, "bench", os.Getpid(), 5*time.Second)
+			rv, err := mpirun.NewRendezvous(1)
+			if err != nil {
+				return err
+			}
+			defer rv.Close()
+			rv.SetTelemetry(tele)
+			go rv.Serve(5 * time.Second)
+			client, err := mpirun.Register(rv.Advertised(), 0, mpirun.Endpoint{Addr: "bench"}, 5*time.Second)
 			if err != nil {
 				return err
 			}

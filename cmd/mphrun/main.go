@@ -33,18 +33,20 @@
 // run via ssh by default, or locally with -backend exec for single-machine
 // testing of the multi-host path). See OPERATIONS.md for the full story.
 //
-// When a rank exits abnormally mid-job, mphrun broadcasts a launcher abort
-// to the surviving ranks on every host (their blocked MPI calls return
-// mpi.ErrAborted), waits -grace for them to exit on their own, kills the
-// remaining process groups — through the agents for remote ranks — and
-// reports the failures grouped per component executable.
+// When a rank exits abnormally mid-job, mphrun sends a launcher abort down
+// the control session of every surviving rank on every host (their blocked
+// MPI calls return mpi.ErrAborted), waits -grace for them to exit on their
+// own, kills the remaining process groups — through the agents for remote
+// ranks — and reports the failures grouped per component executable.
 // Exit status: 0 success, 1 job or launcher failure, 2 usage error.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -72,44 +74,92 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
 		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
 	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cmdfile := flag.String("cmdfile", "", "MPMD command file")
-	registration := flag.String("registration", "", "registration file forwarded to every process")
-	timeout := flag.Duration("timeout", mpirun.DefaultTimeout, "rendezvous timeout")
-	grace := flag.Duration("grace", mpirun.DefaultGrace, "after a rank fails, how long survivors get to exit before their process groups are killed")
-	stats := flag.Bool("stats", false, "collect per-rank performance variables and print a per-component summary at job end")
-	statsInterval := flag.Duration("stats-interval", 0, "how often each rank pushes a live telemetry report to the launcher (0 = final report only)")
-	httpAddr := flag.String("http", "", "serve the live job view on this address while the job runs: Prometheus /metrics, JSON /status, /debug/pprof")
-	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.jsonl, mergeable with mphtrace)")
-	hostfile := flag.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
-	hostList := flag.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
-	placement := flag.String("placement", "block", "placement policy for unpinned ranks: block or cyclic")
-	backendName := flag.String("backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")
-	bind := flag.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh/daemon)")
-	agentPath := flag.String("agent", "", "mphrun binary to run as the remote agent (default: this executable; must exist on every remote host)")
-	daemonPort := flag.Int("daemon-port", mpirun.DefaultDaemonPort, "mphd control port on every host for the daemon backend")
-	daemonAddr := flag.String("daemon-addr", "", "send every rank block to this one mphd address regardless of host (single-machine testing of the daemon backend)")
-	var sshOptions sshOpts
-	flag.Var(&sshOptions, "sshopt", "extra ssh option for the ssh backend (repeatable, e.g. -sshopt -i -sshopt key.pem)")
-	flag.Parse()
+// spawnerOptions are the -backend flag and the flags that configure the
+// backend it names.
+type spawnerOptions struct {
+	backend    string
+	agentPath  string
+	sshOptions []string
+	daemonPort int
+	daemonAddr string
+}
+
+// spawnerFor maps a -backend name to its Spawner: "" picks ssh when any rank
+// is placed on a host, local otherwise.
+func spawnerFor(o spawnerOptions, placed bool) (mpirun.Spawner, error) {
+	name := o.backend
+	if name == "" {
+		name = "local"
+		if placed {
+			name = "ssh"
+		}
+	}
+	switch name {
+	case "local":
+		return mpirun.NewLocalSpawner(), nil
+	case "exec":
+		return mpirun.NewExecSpawner(o.agentPath), nil
+	case "ssh":
+		return mpirun.NewSSHSpawner(o.agentPath, o.sshOptions), nil
+	case "daemon":
+		return mpirun.NewDaemonSpawner(o.daemonAddr, o.daemonPort), nil
+	}
+	return nil, fmt.Errorf("unknown backend %q (want local, exec, ssh, or daemon)", name)
+}
+
+// run is the launcher: it parses args, launches the job, prints the
+// requested summaries, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mphrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cmdfile := fs.String("cmdfile", "", "MPMD command file")
+	registration := fs.String("registration", "", "registration file forwarded to every process")
+	timeout := fs.Duration("timeout", mpirun.DefaultTimeout, "rendezvous timeout")
+	grace := fs.Duration("grace", mpirun.DefaultGrace, "after a rank fails, how long survivors get to exit before their process groups are killed")
+	stats := fs.Bool("stats", false, "collect per-rank performance variables and print a per-component summary at job end")
+	statsInterval := fs.Duration("stats-interval", 0, "how often each rank pushes a live telemetry report to the launcher (0 = final report only)")
+	httpAddr := fs.String("http", "", "serve the live job view on this address while the job runs: Prometheus /metrics, JSON /status, /debug/pprof")
+	traceDir := fs.String("trace", "", "directory for per-rank event traces (trace.rank*.jsonl, mergeable with mphtrace)")
+	hostfile := fs.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
+	hostList := fs.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
+	placement := fs.String("placement", "block", "placement policy for unpinned ranks: block or cyclic")
+	bind := fs.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh/daemon)")
+	var so spawnerOptions
+	fs.StringVar(&so.backend, "backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")
+	fs.StringVar(&so.agentPath, "agent", "", "mphrun binary to run as the remote agent (default: this executable; must exist on every remote host)")
+	fs.IntVar(&so.daemonPort, "daemon-port", mpirun.DefaultDaemonPort, "mphd control port on every host for the daemon backend")
+	fs.StringVar(&so.daemonAddr, "daemon-addr", "", "send every rank block to this one mphd address regardless of host (single-machine testing of the daemon backend)")
+	fs.Var((*sshOpts)(&so.sshOptions), "sshopt", "extra ssh option for the ssh backend (repeatable, e.g. -sshopt -i -sshopt key.pem)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "mphrun: %v\n", err)
+		return 1
+	}
 
 	var entries []mpirun.Entry
 	var err error
 	switch {
-	case *cmdfile != "" && flag.NArg() > 0:
+	case *cmdfile != "" && fs.NArg() > 0:
 		err = fmt.Errorf("give either -cmdfile or a colon-separated command line, not both")
 	case *cmdfile != "":
 		entries, _, err = mpirun.ParseCmdfile(*cmdfile)
-	case flag.NArg() > 0:
-		entries, _, err = mpirun.ParseColonSpec(flag.Args())
+	case fs.NArg() > 0:
+		entries, _, err = mpirun.ParseColonSpec(fs.Args())
 	default:
-		fmt.Fprintln(os.Stderr, "mphrun: need -cmdfile FILE, or: mphrun [flags] N cmd [args] : N cmd [args] ...")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mphrun: need -cmdfile FILE, or: mphrun [flags] N cmd [args] : N cmd [args] ...")
+		fs.Usage()
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	var hosts []mpirun.HostSlot
@@ -122,41 +172,24 @@ func main() {
 		hosts, err = mpirun.ParseHostList(*hostList)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	policy, err := mpirun.ParsePlacement(*placement)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	backend, err := mpirun.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
-	}
-	pinned := false
+	placed := len(hosts) > 0
 	for _, e := range entries {
-		pinned = pinned || e.Host != ""
+		placed = placed || e.Host != ""
 	}
-	if *backendName == "" && (len(hosts) > 0 || pinned) {
-		backend = mpirun.BackendSSH
-	}
-	spawner, err := mpirun.NewSpawner(backend, mpirun.SpawnerOptions{
-		AgentPath:  *agentPath,
-		SSHOptions: sshOptions,
-		DaemonPort: *daemonPort,
-		DaemonAddr: *daemonAddr,
-	})
+	spawner, err := spawnerFor(so, placed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	spec, err := mpirun.NewLaunchSpec(entries, hosts, policy)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	spec.Registration = *registration
 	spec.Timeout = *timeout
@@ -164,90 +197,60 @@ func main() {
 	spec.Bind = *bind
 	spec.Spawner = spawner
 
-	statsDir := ""
-	if *stats {
-		statsDir, err = os.MkdirTemp("", "mph-stats-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(statsDir)
-		spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvStatsDir+"="+statsDir)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvTraceDir+"="+*traceDir)
 	}
 
-	// The telemetry plane rides along whenever any observability output is
-	// requested: -http and -stats-interval need it for live reports, and
-	// -stats/-trace benefit from the handshake clock sync it performs (clock
-	// offsets end up in the snapshots and trace metadata, which is what lets
-	// mphtrace align per-host timelines).
+	// Telemetry rides along whenever any observability output is requested:
+	// -http and -stats-interval need it for live reports, -stats for the
+	// final reports it prints, and -trace for the clock sync it performs
+	// (clock offsets end up in the snapshots and trace metadata, which is
+	// what lets mphtrace align per-host timelines).
 	var tele *mpirun.Telemetry
 	if *httpAddr != "" || *statsInterval > 0 || *stats || *traceDir != "" {
-		tele, err = mpirun.NewTelemetry(*bind, len(spec.Procs))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-			os.Exit(1)
-		}
-		defer tele.Close()
-		spec.ExtraEnv = append(spec.ExtraEnv, mpirun.EnvTelemetry+"="+tele.Addr())
-		if *statsInterval > 0 {
-			spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvStatsInterval+"="+statsInterval.String())
-		}
+		tele = mpirun.NewTelemetry(len(spec.Procs), *statsInterval)
+		spec.Telemetry = tele
 	}
 	if *httpAddr != "" {
 		srv := &http.Server{Addr: *httpAddr, Handler: tele.Handler()}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: -http: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("-http: %w", err))
 		}
 		defer srv.Close()
 		go srv.Serve(ln)
-		fmt.Fprintf(os.Stderr, "mphrun: live job view on http://%s/status (Prometheus /metrics, profiles /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(stderr, "mphrun: live job view on http://%s/status (Prometheus /metrics, profiles /debug/pprof)\n", ln.Addr())
 	}
 
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
+		fmt.Fprintf(stderr, "mphrun: %v\n", err)
 		// A failed job still has a story to tell: print whatever the
-		// telemetry plane collected before the crash.
-		if *stats && tele != nil {
+		// ranks reported before the crash.
+		if *stats {
 			if snaps := tele.Snapshots(); len(snaps) > 0 {
-				fmt.Fprintf(os.Stderr, "mphrun: post-mortem telemetry (%d of %d rank(s) reported):\n",
+				fmt.Fprintf(stderr, "mphrun: post-mortem telemetry (%d of %d rank(s) reported):\n",
 					len(snaps), len(spec.Procs))
-				printStats(os.Stderr, snaps)
+				printStats(stderr, snaps)
 			}
 		}
-		if statsDir != "" {
-			os.RemoveAll(statsDir)
-		}
-		os.Exit(1)
+		return 1
 	}
-	if statsDir != "" {
-		snaps, err := readStats(statsDir)
-		if err != nil && tele != nil {
-			// Rank dumps can go missing on shared-nothing multi-host runs
-			// (the files land on the remote hosts); the telemetry plane's
-			// final reports carry the same snapshots.
-			if ts := tele.Snapshots(); len(ts) > 0 {
-				snaps, err = ts, nil
-			}
+	if *stats {
+		// Launch drained every session to EOF, so each rank's final report
+		// is in.
+		snaps := tele.Snapshots()
+		if len(snaps) == 0 {
+			return fail(fmt.Errorf("stats: no rank reported"))
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: stats: %v\n", err)
-			os.RemoveAll(statsDir)
-			os.Exit(1)
-		}
-		printStats(os.Stdout, snaps)
-		printStragglers(os.Stdout, snaps)
+		printStats(stdout, snaps)
+		printStragglers(stdout, snaps)
 	}
 	if *traceDir != "" {
-		fmt.Fprintf(os.Stderr, "mphrun: event traces in %s (merge with: mphtrace -o trace.json %s)\n",
+		fmt.Fprintf(stderr, "mphrun: event traces in %s (merge with: mphtrace -o trace.json %s)\n",
 			*traceDir, *traceDir)
 	}
+	return 0
 }

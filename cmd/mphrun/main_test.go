@@ -2,12 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,10 +49,17 @@ func TestMain(m *testing.M) {
 //	                       only the launcher's grace kill can end it
 //	MPH_TEST_EXPECT_HOSTS  comma-separated host of each rank; the worker
 //	                       verifies the published topology and SplitByHost
-//	MPH_TEST_SPIN          per-rank imbalance: every rank sleeps rank×SPIN
-//	                       before the final barrier, making the highest rank
-//	                       the straggler the telemetry tests look for
+//	MPH_TEST_HOLD          the highest rank waits (up to a minute) for this
+//	                       file to exist before the final barrier, keeping
+//	                       the job alive for a mid-run scrape and making it
+//	                       the straggler the telemetry test looks for
+//	MPH_TEST_NO_STATS_DIR  the rank fails if MPH_STATS_DIR is set, proving
+//	                       a -stats run needs no stats directory
 func worker() int {
+	if os.Getenv("MPH_TEST_NO_STATS_DIR") == "1" && os.Getenv(perf.EnvStatsDir) != "" {
+		fmt.Fprintf(os.Stderr, "worker: %s is set\n", perf.EnvStatsDir)
+		return 1
+	}
 	env, regPath, err := tcpnet.InitFromEnv()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -103,9 +112,11 @@ func worker() int {
 		}
 		fmt.Println("beta received the message")
 	}
-	if spin := os.Getenv("MPH_TEST_SPIN"); spin != "" {
-		if d, err := time.ParseDuration(spin); err == nil {
-			time.Sleep(time.Duration(world.Rank()) * d)
+	if hold := os.Getenv("MPH_TEST_HOLD"); hold != "" && world.Rank() == world.Size()-1 {
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if _, err := os.Stat(hold); err == nil {
+				break
+			}
 		}
 	}
 	if err := world.Barrier(); err != nil {
@@ -301,7 +312,7 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	for r, want := range []string{"nodeA", "nodeA", "nodeB", "nodeB"} {
 		if got := spec.Procs[r].Host; got != want {
@@ -345,7 +356,7 @@ func TestLaunchHierCollectives(t *testing.T) {
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
@@ -394,7 +405,7 @@ func TestLaunchShmChannel(t *testing.T) {
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
@@ -450,7 +461,7 @@ func TestLaunchMultiHostChaos(t *testing.T) {
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Grace = 2 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	start := time.Now()
 	err := mpirun.Launch(context.Background(), spec)
 	elapsed := time.Since(start)
@@ -473,63 +484,73 @@ func TestLaunchMultiHostChaos(t *testing.T) {
 
 // TestLaunchTelemetryMetrics is the end-to-end telemetry-plane test: a
 // 4-rank exec-backend job on two fake hosts pushes periodic snapshot reports
-// to a launcher-side aggregator whose /metrics endpoint is scraped MID-RUN
-// (live Prometheus series with not-yet-final ranks), and after the job the
-// aggregated totals must reconcile job-wide and agree with the file-based
-// stats dumps. The deliberate per-rank imbalance (MPH_TEST_SPIN) makes the
-// last rank the straggler, which the stats summary must name.
+// over its control sessions to a launcher-side aggregator whose /metrics
+// endpoint is scraped MID-RUN (live Prometheus series with not-yet-final
+// ranks), and after the job the aggregated totals must reconcile job-wide
+// and agree with the file-based stats dumps. The last rank holds the job
+// open before the final barrier until the test has scraped a live view
+// (MPH_TEST_HOLD), which also makes it the straggler the stats summary must
+// name.
 func TestLaunchTelemetryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 2}, {Name: "nodeB", Slots: 2}}
+	hold := filepath.Join(t.TempDir(), "scraped")
 	t.Setenv("MPH_TEST_WORKER", "1")
-	t.Setenv("MPH_TEST_SPIN", "250ms")
+	t.Setenv("MPH_TEST_HOLD", hold)
 	statsDir := filepath.Join(t.TempDir(), "stats")
 	if err := os.MkdirAll(statsDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	tele, err := mpirun.NewTelemetry("", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tele.Close()
+	tele := mpirun.NewTelemetry(4, 100*time.Millisecond)
 	srv := httptest.NewServer(tele.Handler())
 	defer srv.Close()
 
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
-	spec.ExtraEnv = []string{
-		perf.EnvStatsDir + "=" + statsDir,
-		mpirun.EnvTelemetry + "=" + tele.Addr(),
-		perf.EnvStatsInterval + "=100ms",
-	}
+	spec.Spawner = mpirun.NewExecSpawner("")
+	spec.Telemetry = tele
+	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 
-	// Scrape /metrics while the job runs; the spin keeps it alive ~750ms, so
-	// with 100ms report intervals a live (non-final) view must be observable.
-	liveScrape := make(chan string, 1)
+	// Scrape /metrics while the job runs. The held rank keeps the job alive
+	// until a live (non-final) view carrying every expected series has been
+	// seen, and the scraper then releases it by creating the hold file.
+	wants := []string{
+		"# TYPE mph_job_sent_messages_total counter",
+		"mph_job_ranks_expected 4",
+		"mph_rank_sent_messages_total",
+		`component="alpha"`,
+		`component="beta"`,
+		`host="nodeA"`,
+		`host="nodeB"`,
+	}
+	live := func(body string) bool {
+		for _, want := range wants {
+			if !strings.Contains(body, want) {
+				return false
+			}
+		}
+		return !strings.Contains(body, "mph_job_ranks_final 4")
+	}
+	scraped := make(chan string, 1)
 	stopPoll := make(chan struct{})
 	go func() {
+		defer os.WriteFile(hold, nil, 0o644)
+		last := ""
+		defer func() { scraped <- last }()
 		for {
 			select {
 			case <-stopPoll:
 				return
 			default:
 			}
-			resp, err := http.Get(srv.URL + "/metrics")
-			if err == nil {
+			if resp, err := http.Get(srv.URL + "/metrics"); err == nil {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				s := string(body)
-				if strings.Contains(s, "mph_rank_sent_messages_total") &&
-					!strings.Contains(s, "mph_job_ranks_final 4") {
-					select {
-					case liveScrape <- s:
-					default:
-					}
+				if last = string(body); live(last) {
 					return
 				}
 			}
@@ -541,35 +562,12 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 		t.Fatalf("launch: %v", err)
 	}
 	close(stopPoll)
-
-	select {
-	case body := <-liveScrape:
-		for _, want := range []string{
-			"# TYPE mph_job_sent_messages_total counter",
-			"mph_job_ranks_expected 4",
-			`component="alpha"`,
-			`component="beta"`,
-			`host="nodeA"`,
-			`host="nodeB"`,
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("mid-run /metrics missing %q in:\n%s", want, body)
-			}
-		}
-	default:
-		t.Error("never scraped a live (pre-final) /metrics view mid-run")
+	if body := <-scraped; !live(body) {
+		t.Errorf("never scraped a live (pre-final) /metrics view with every expected series mid-run; last scrape:\n%s", body)
 	}
 
-	// Final reports travel asynchronously; wait for all four.
-	deadline := time.Now().Add(10 * time.Second)
-	var view mpirun.JobView
-	for {
-		view = tele.View()
-		if view.Finals == 4 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	// Launch drains every session to EOF, so all four final reports are in.
+	view := tele.View()
 	if view.Finals != 4 {
 		t.Fatalf("got %d final reports, want 4 (view %+v)", view.Finals, view)
 	}
@@ -596,7 +594,7 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 		}
 	}
 
-	// The spin makes the highest rank arrive last at the final barrier:
+	// The hold makes the highest rank arrive last at the final barrier:
 	// every other rank waits for it, so it reports the least barrier time
 	// and the straggler table names it the suspect.
 	rows := stragglers(snaps)
@@ -611,12 +609,89 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 		t.Fatalf("no barrier row in straggler table: %+v", rows)
 	}
 	if barrier.SuspectRank != 3 {
-		t.Errorf("straggler suspect rank %d, want 3 (it slept longest)", barrier.SuspectRank)
+		t.Errorf("straggler suspect rank %d, want 3 (it was held longest)", barrier.SuspectRank)
 	}
 	var buf strings.Builder
 	printStragglers(&buf, snaps)
 	if !strings.Contains(buf.String(), "collective wait skew") {
 		t.Errorf("straggler output missing table:\n%s", buf.String())
+	}
+}
+
+// TestRunStatsFromSessions runs mphrun -stats itself on the 2-host exec job
+// and checks that the per-component summary reconciles from the ranks'
+// final reports over their control sessions alone: no rank may see a stats
+// directory (MPH_TEST_NO_STATS_DIR fails any that does).
+func TestRunStatsFromSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	t.Setenv("MPH_TEST_WORKER", "1")
+	t.Setenv("MPH_TEST_NO_STATS_DIR", "1")
+	t.Setenv(perf.EnvStatsDir, "")
+	self := testAgentPath(t)
+	var stdout, stderr strings.Builder
+	code := run([]string{
+		"-hosts", "nodeA:2,nodeB:2", "-backend", "exec", "-placement", "block", "-stats",
+		"-timeout", "60s", "-registration", writeRegistration(t),
+		"3", self, ":", "1", self,
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("mphrun exited %d:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"performance summary (4 rank(s))", "totals reconcile"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSpawnerFor pins the one place a -backend name becomes a Spawner:
+// every name maps to its typed spawner, "" defaults to local (ssh once ranks
+// are placed on hosts), options reach the constructors, and unknown names
+// error.
+func TestSpawnerFor(t *testing.T) {
+	cases := []struct {
+		backend string
+		placed  bool
+		want    string
+	}{
+		{"", false, "local"},
+		{"", true, "ssh"},
+		{"local", false, "local"},
+		{"exec", true, "exec"},
+		{"ssh", true, "ssh"},
+		{"daemon", true, "daemon"},
+	}
+	for _, c := range cases {
+		sp, err := spawnerFor(spawnerOptions{backend: c.backend}, c.placed)
+		if err != nil {
+			t.Errorf("spawnerFor(%q): %v", c.backend, err)
+			continue
+		}
+		if sp.Name() != c.want {
+			t.Errorf("spawnerFor(%q, placed=%v).Name() = %q, want %q", c.backend, c.placed, sp.Name(), c.want)
+		}
+	}
+	if _, err := spawnerFor(spawnerOptions{backend: "rsh"}, false); err == nil {
+		t.Error("unknown backend accepted")
+	}
+	sp, err := spawnerFor(spawnerOptions{backend: "ssh", agentPath: "/usr/local/bin/mphrun", sshOptions: []string{"-p", "2222"}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssh := sp.(*mpirun.SSHSpawner)
+	if ssh.AgentPath != "/usr/local/bin/mphrun" || strings.Join(ssh.Options, " ") != "-p 2222" {
+		t.Errorf("ssh options not forwarded: %+v", ssh)
+	}
+	sp, err = spawnerFor(spawnerOptions{backend: "daemon", daemonAddr: "127.0.0.1:9", daemonPort: 7777}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := sp.(*mpirun.DaemonSpawner)
+	if dm.Addr != "127.0.0.1:9" || dm.Port != 7777 {
+		t.Errorf("daemon options not forwarded: %+v", dm)
 	}
 }
 
@@ -683,4 +758,31 @@ func TestLaunchStats(t *testing.T) {
 	if err != nil || len(traces) != 3 {
 		t.Fatalf("trace dumps: %v (err %v), want 3 files", traces, err)
 	}
+}
+
+// readStats loads every per-rank snapshot dump (stats.rank*.json) from dir,
+// sorted by world rank.
+func readStats(dir string) ([]perf.Snapshot, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "stats.rank*.json"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no stats.rank*.json files in %s", dir)
+	}
+	sort.Strings(paths)
+	snaps := make([]perf.Snapshot, 0, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		var s perf.Snapshot
+		if err := json.Unmarshal(data, &s); err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		snaps = append(snaps, s)
+	}
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].WorldRank < snaps[j].WorldRank })
+	return snaps, nil
 }

@@ -52,12 +52,6 @@ const (
 	// EnvDebugAddr, when set for a TCP-transport job, starts a per-rank
 	// HTTP endpoint serving the live Snapshot as JSON (see Serve).
 	EnvDebugAddr = "MPH_DEBUG_ADDR"
-	// EnvStatsInterval is the period at which a rank pushes its live
-	// Snapshot over the launcher's telemetry channel (when one is
-	// registered). Unset, unparsable, or nonpositive means "final-only":
-	// one report at shutdown. mphrun -stats-interval sets it for all
-	// children.
-	EnvStatsInterval = "MPH_STATS_INTERVAL"
 )
 
 // DefaultTraceEvents is the tracer ring capacity when EnvTraceEvents does
@@ -254,8 +248,8 @@ type NetCounters struct {
 	HeartbeatsOut  atomic.Uint64 // heartbeat frames written on idle connections
 	HeartbeatsIn   atomic.Uint64 // heartbeat frames read
 	PeersLost      atomic.Uint64 // world ranks declared dead by the failure detector
-	AbortsOut      atomic.Uint64 // abort frames broadcast by this rank
-	AbortsIn       atomic.Uint64 // abort frames received
+	AbortsOut      atomic.Uint64 // aborts this rank sent up its launcher session
+	AbortsIn       atomic.Uint64 // aborts received over the launcher session (relayed, launcher-raised, or the lease)
 	FaultsInjected atomic.Uint64 // MPH_FAULT rule firings (testing only)
 
 	// Rendezvous-protocol counters (payloads at or above the eager

@@ -230,6 +230,14 @@ func TestFaultDialRetryExhausts(t *testing.T) {
 // chaos tests deliberately leave some ranks unclosed.
 func startWorld(t testing.TB, n int) ([]*Transport, []*mpi.Env) {
 	t.Helper()
+	trs, envs, _ := startLaunchedWorld(t, n)
+	return trs, envs
+}
+
+// startLaunchedWorld is startWorld that also returns the launcher side of
+// the ranks' control sessions.
+func startLaunchedWorld(t testing.TB, n int) ([]*Transport, []*mpi.Env, *mpirun.Rendezvous) {
+	t.Helper()
 	rv, err := mpirun.NewRendezvous(n)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +272,7 @@ func startWorld(t testing.TB, n int) ([]*Transport, []*mpi.Env) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("rendezvous: %v", err)
 	}
-	return trs, envs
+	return trs, envs, rv
 }
 
 // TestFaultSeverRecovery injects a mid-run connection loss on the send path
@@ -340,7 +348,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zln.Close()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go mpirun.Register(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
 
 	tr, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
@@ -377,9 +385,9 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 	}
 }
 
-// TestFaultAbortFrameUnblocks delivers a launcher-style abort frame with
-// SendAbort — exactly what mphrun does when a child dies — and checks that a
-// blocked receive fails with the typed abort error.
+// TestFaultAbortFrameUnblocks sends a launcher abort down the rank's control
+// session with Rendezvous.Abort — exactly what mphrun does when a child dies
+// — and checks that a blocked receive fails with the typed abort error.
 func TestFaultAbortFrameUnblocks(t *testing.T) {
 	rv, err := mpirun.NewRendezvous(2)
 	if err != nil {
@@ -392,9 +400,9 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zln.Close()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go mpirun.Register(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
 
-	tr, env, err := initTransport(0, 2, rv.Advertised())
+	_, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +418,7 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	if err := SendAbort(tr.ln.Addr().String(), 5, -1, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	rv.Abort(5)
 	select {
 	case err := <-blocked:
 		var ae *mpi.AbortError

@@ -27,6 +27,7 @@ func FuzzReadFrame(f *testing.F) {
 		encodeRDataHeader(hdr, 1, 17, len(pkt.Data))
 		return append(hdr, pkt.Data...)
 	}())
+	f.Add(formerAbortFrame) // unassigned kind: the read loop rejects it
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		kind, body, err := readFrame(bytes.NewReader(buf))
 		if err != nil {

@@ -44,9 +44,12 @@
 //   - When the failure detector declares a world rank dead, pending
 //     synchronous sends to it fail, the engine fails receives that only it
 //     could satisfy (mpi.ErrPeerLost), and future sends to it fail fast.
-//   - Abort frames propagate mpi.Comm.Abort (and the launcher's abort on
-//     child failure) to every rank, failing all pending operations with
-//     mpi.ErrAborted.
+//   - Aborts travel over the rank's control session with the launcher
+//     (mpirun.Session), never over the data streams: mpi.Comm.Abort goes up
+//     the session and the launcher relays it to every other rank, as it
+//     does its own abort on child failure, failing all pending operations
+//     with mpi.ErrAborted. The session's EOF is the launcher lease: a rank
+//     whose launcher dies aborts the same way, with the launcher as origin.
 //
 // MPH_FAULT injects deterministic faults for chaos testing; see
 // ParseFaultSpec. All failure traffic is counted in perf.NetCounters and
@@ -69,13 +72,13 @@ import (
 	"mph/internal/mpirun"
 )
 
-// frame kinds.
+// frame kinds. Kind 5 is unassigned: aborts travel over the launcher
+// session, not the data streams.
 const (
 	kindPacket    = 1 // a message: header + payload
 	kindAck       = 2 // Ssend release: u64 ack id
 	kindHello     = 3 // first frame on every outbound conn: u64 sender world rank
 	kindHeartbeat = 4 // idle-connection liveness signal, empty body
-	kindAbort     = 5 // job-wide abort: i64 code + i64 origin rank (-1 launcher)
 	kindRTS       = 6 // rendezvous request-to-send: envelope + promised length
 	kindCTS       = 7 // rendezvous clear-to-send: u64 rendezvous id
 	kindRData     = 8 // rendezvous payload: u64 srcWorld + u64 id + payload
@@ -103,10 +106,6 @@ const rdvChunk = 256 << 10
 
 // maxFrame bounds a frame's byte length as a corruption guard.
 const maxFrame = 1 << 30
-
-// abortSendTimeout bounds the per-peer effort of an abort broadcast: aborts
-// must go out promptly even when some peers are already unreachable.
-const abortSendTimeout = time.Second
 
 // frameBuf is a pooled outbound frame buffer. A frame is dead the moment its
 // blocking write returns, so Deliver recycles it for the next send instead
@@ -220,11 +219,12 @@ type Transport struct {
 
 	debugSrv *perf.DebugServer // MPH_DEBUG_ADDR endpoint, nil unless enabled
 
-	// tele is the launcher's telemetry channel (MPH_TELEMETRY), nil unless
-	// the launcher registered one. teleFinalOnce guards the final report:
-	// exactly one of Close, abort, or peer-loss sends it.
-	tele          *mpirun.TelemetryClient
-	teleFinalOnce sync.Once
+	// sess is the rank's control session with the launcher: the endpoint
+	// book came in over it, and reports and aborts go out over it.
+	// sessOnce guards its end: exactly one of Close or abort sends the
+	// final report (when the launcher asked for reports) and hangs up.
+	sess     *mpirun.Session
+	sessOnce sync.Once
 
 	wg sync.WaitGroup
 }
@@ -331,13 +331,15 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		}
 	}
 	self := mpirun.Endpoint{Addr: mpirun.AdvertiseAddr(bind, ln.Addr()), Host: host}
-	book, err := mpirun.RegisterEndpoint(rendezvous, rank, self, cfg.dialTimeout)
+	sess, err := mpirun.Register(rendezvous, rank, self, cfg.dialTimeout)
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
 	}
+	book := sess.Book()
 	if len(book) != size {
 		ln.Close()
+		sess.Close()
 		return nil, nil, fmt.Errorf("tcpnet: address book has %d entries, world is %d", len(book), size)
 	}
 	addrs := make([]string, size)
@@ -351,6 +353,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		addrs:      addrs,
 		ln:         ln,
 		cfg:        cfg,
+		sess:       sess,
 		faults:     faults,
 		out:        make(map[int]*outConn),
 		dead:       make(map[int]error),
@@ -390,34 +393,36 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: perf debug endpoint at http://%s/perf\n", rank, srv.Addr())
 		}
 	}
-	if teleAddr := os.Getenv(mpirun.EnvTelemetry); teleAddr != "" {
-		tele, err := mpirun.DialTelemetry(teleAddr, rank, host, os.Getpid(), cfg.dialTimeout)
-		if err != nil {
-			// Telemetry is best-effort diagnostics; the job runs without it.
-			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: telemetry: %v\n", rank, err)
-		} else {
-			t.tele = tele
-			if off, bound, ok := tele.ClockOffset(); ok {
-				pv.SetClockOffset(off, bound)
-			}
-			if cfg.statsInterval > 0 {
-				t.wg.Add(1)
-				go t.telemetryLoop(cfg.statsInterval)
-			}
-		}
+	if off, bound, ok := sess.ClockOffset(); ok {
+		pv.SetClockOffset(off, bound)
 	}
 	if err := t.initShm(size); err != nil {
 		ln.Close()
+		sess.Close()
 		return nil, nil, err
 	}
 	t.wg.Add(2)
 	go t.acceptLoop(t.ln, false)
 	go t.heartbeatLoop()
+	if on, interval := sess.Reporting(); on && interval > 0 {
+		t.wg.Add(1)
+		go t.telemetryLoop(interval)
+	}
+	sess.Watch(t.launcherAbort)
 	return t, env, nil
 }
 
+// launcherAbort applies an abort that arrived over the control session —
+// relayed from another rank or raised by the launcher, or the session's
+// EOF when the launcher died.
+func (t *Transport) launcherAbort(code, origin int) {
+	t.netCounters().AbortsIn.Add(1)
+	t.applyAbort(code, origin)
+	t.env.AbortDelivered(code, origin)
+}
+
 // telemetryLoop pushes a live snapshot to the launcher every interval until
-// the transport closes; the final report is teleFinal's job.
+// the transport closes; the final report is endSession's job.
 func (t *Transport) telemetryLoop(interval time.Duration) {
 	defer t.wg.Done()
 	ticker := time.NewTicker(interval)
@@ -428,7 +433,7 @@ func (t *Transport) telemetryLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		if err := t.tele.Report(t.env.Perf().Snapshot(), false); err != nil {
+		if err := t.sess.Report(t.env.Perf().Snapshot(), false); err != nil {
 			return // launcher gone; the final report will be a no-op too
 		}
 	}
@@ -438,22 +443,21 @@ func (t *Transport) telemetryLoop(interval time.Duration) {
 // like a peer-loss verdict, so the launcher sees the failure counters
 // without waiting out the reporting interval).
 func (t *Transport) teleReport() {
-	if t.tele == nil {
-		return
+	if on, _ := t.sess.Reporting(); on {
+		t.sess.Report(t.env.Perf().Snapshot(), false) //nolint:errcheck // best-effort diagnostics
 	}
-	t.tele.Report(t.env.Perf().Snapshot(), false) //nolint:errcheck // best-effort diagnostics
 }
 
-// teleFinal pushes the rank's final snapshot over the telemetry channel and
-// hangs up, exactly once. Clean Close and job abort both funnel through it
-// so a crashed job still delivers its post-mortem counters.
-func (t *Transport) teleFinal() {
-	if t.tele == nil {
-		return
-	}
-	t.teleFinalOnce.Do(func() {
-		t.tele.Report(t.env.Perf().Snapshot(), true) //nolint:errcheck // best-effort diagnostics
-		t.tele.Close()
+// endSession pushes the rank's final snapshot over the control session
+// (when the launcher asked for reports) and hangs up, exactly once. Clean
+// Close and job abort both funnel through it so a crashed job still
+// delivers its post-mortem counters.
+func (t *Transport) endSession() {
+	t.sessOnce.Do(func() {
+		if on, _ := t.sess.Reporting(); on {
+			t.sess.Report(t.env.Perf().Snapshot(), true) //nolint:errcheck // best-effort diagnostics
+		}
+		t.sess.Close()
 	})
 }
 
@@ -719,9 +723,9 @@ func (t *Transport) Close() error {
 	}
 	t.mu.Unlock()
 
-	// The final telemetry report goes out before connections drop: counters
-	// are complete at this point (the Env flushed observability first).
-	t.teleFinal()
+	// The final report goes out before connections drop: counters are
+	// complete at this point (the Env flushed observability first).
+	t.endSession()
 	if t.debugSrv != nil {
 		t.debugSrv.Close()
 	}
@@ -801,6 +805,9 @@ func (t *Transport) outbound(dst int) (*outConn, error) {
 	}
 	oc := &outConn{conn: conn, lastWrite: time.Now()}
 	t.out[dst] = oc
+	// Counted once installed: a connection that lost a dial race never
+	// carried traffic, while every redial after a loss lands here again.
+	t.netCounters().Dials.Add(1)
 	return oc, nil
 }
 
@@ -898,6 +905,7 @@ func (t *Transport) severAll() {
 	t.inbound = nil
 	t.mu.Unlock()
 	ln.Close()
+	t.sess.Close()
 	t.closeShm()
 	for _, c := range conns {
 		c.Close()
@@ -1011,38 +1019,15 @@ func (t *Transport) clearSuspect(rank int) {
 	t.mu.Unlock()
 }
 
-// BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it pushes
-// an abort frame to every peer not already dead (briefly dialing peers with
-// no established connection) and fails this rank's pending synchronous
-// sends with the abort error. Best effort with a bounded per-peer timeout:
-// unreachable peers are skipped, and the launcher's process-group kill is
-// the backstop.
+// BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it sends
+// the abort up the control session, for the launcher to relay to every
+// other rank, and fails this rank's pending synchronous sends with the
+// abort error. Best effort: if the launcher is unreachable the job is going
+// down anyway, and the launcher's process-group kill is the backstop.
 func (t *Transport) BroadcastAbort(code, origin int) {
-	frame := abortFrame(code, origin)
-	var wg sync.WaitGroup
-	for dst := range t.addrs {
-		if dst == t.rank || t.deadErr(dst) != nil {
-			continue
-		}
-		t.mu.Lock()
-		oc, closed := t.out[dst], t.closed
-		t.mu.Unlock()
-		if closed {
-			break
-		}
-		wg.Add(1)
-		go func(dst int, oc *outConn) {
-			defer wg.Done()
-			if oc != nil && oc.write(frame, abortSendTimeout) == nil {
-				t.netCounters().AbortsOut.Add(1)
-				return
-			}
-			if SendAbort(t.addrs[dst], code, origin, abortSendTimeout) == nil {
-				t.netCounters().AbortsOut.Add(1)
-			}
-		}(dst, oc)
+	if t.sess.Abort(code, origin) == nil {
+		t.netCounters().AbortsOut.Add(1)
 	}
-	wg.Wait()
 	t.applyAbort(code, origin)
 }
 
@@ -1077,16 +1062,8 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 	t.rdvMu.Unlock()
 	// An aborting process usually exits moments later; ship the post-mortem
 	// snapshot now rather than hoping Close still runs.
-	go t.teleFinal()
+	go t.endSession()
 	return ae
-}
-
-// SendAbort dials addr and delivers a single abort frame, telling that rank
-// the job is over; origin -1 (mpirun.AbortOriginLauncher) identifies the
-// launcher. It delegates to mpirun.SendAbort, which owns the frame encoding
-// (the launcher cannot import tcpnet without a cycle).
-func SendAbort(addr string, code, origin int, timeout time.Duration) error {
-	return mpirun.SendAbort(addr, code, origin, timeout)
 }
 
 // acceptLoop receives inbound connections on one listener — the TCP world
@@ -1432,22 +1409,6 @@ func (t *Transport) readLoop(conn net.Conn, local bool) {
 			}
 			nc.HeartbeatsIn.Add(1)
 			nc.BytesIn.Add(4 + 1)
-		case kindAbort:
-			if body != 16 {
-				readErr = fmt.Errorf("tcpnet: bad abort frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+16]); err != nil {
-				readErr = err
-				return
-			}
-			code := int(int64(binary.LittleEndian.Uint64(scratch[5 : 5+8])))
-			origin := int(int64(binary.LittleEndian.Uint64(scratch[13 : 13+8])))
-			nc.AbortsIn.Add(1)
-			nc.BytesIn.Add(4 + 1 + 16)
-			t.applyAbort(code, origin)
-			t.env.AbortDelivered(code, origin)
-			return // the job is over; no suspicion for this stream
 		default:
 			readErr = fmt.Errorf("tcpnet: unknown frame kind %d", kind)
 			return
@@ -1533,13 +1494,6 @@ func heartbeatFrame() []byte {
 	binary.LittleEndian.PutUint32(b, 1)
 	b[4] = kindHeartbeat
 	return b
-}
-
-// abortFrame frames a job-wide abort notice. The encoding is owned by
-// package mpirun (the launcher sends the same frame); kindAbort must equal
-// mpirun.AbortFrameKind.
-func abortFrame(code, origin int) []byte {
-	return mpirun.AbortFrame(code, origin)
 }
 
 // encodePacketInto frames a packet into buf, reusing its capacity:

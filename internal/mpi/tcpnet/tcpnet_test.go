@@ -242,7 +242,7 @@ func TestRendezvousTimeout(t *testing.T) {
 	}
 	// Only one of two ranks ever registers.
 	go func() {
-		_, _ = mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "127.0.0.1:9"}, 5*time.Second)
+		_, _ = mpirun.Register(rv.Advertised(), 0, mpirun.Endpoint{Addr: "127.0.0.1:9"}, 5*time.Second)
 	}()
 	if err := rv.Serve(300 * time.Millisecond); err == nil {
 		t.Fatal("Serve returned nil despite a missing rank")
@@ -256,9 +256,9 @@ func TestRendezvousDuplicateRank(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- rv.Serve(5 * time.Second) }()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "a:1"}, time.Second)
+	go mpirun.Register(rv.Advertised(), 0, mpirun.Endpoint{Addr: "a:1"}, time.Second)
 	time.Sleep(100 * time.Millisecond)
-	go mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "b:2"}, time.Second)
+	go mpirun.Register(rv.Advertised(), 0, mpirun.Endpoint{Addr: "b:2"}, time.Second)
 	if err := <-done; err == nil {
 		t.Fatal("duplicate rank accepted")
 	}

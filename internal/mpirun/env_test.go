@@ -1,7 +1,6 @@
 package mpirun
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"reflect"
@@ -122,7 +121,7 @@ func TestEndpointExchange(t *testing.T) {
 	for r := 0; r < n; r++ {
 		go func(rank int) {
 			ep := Endpoint{Addr: addrFor(rank), Host: hostOf(rank)}
-			book, err := RegisterEndpoint(rv.Advertised(), rank, ep, 10*time.Second)
+			book, err := registerBook(rv.Advertised(), rank, ep, 10*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -152,49 +151,5 @@ func TestEndpointExchange(t *testing.T) {
 	book := rv.Book()
 	if len(book) != n || book[0].Host != "node-0" || book[2].Host != "" {
 		t.Fatalf("rv.Book() = %+v", book)
-	}
-}
-
-// TestLegacyRegistration pins wire compatibility: a worker speaking the old
-// two-field protocol (no host, reads only the address line) still completes
-// the exchange.
-func TestLegacyRegistration(t *testing.T) {
-	rv, err := NewRendezvous(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
-
-	newDone := make(chan error, 1)
-	go func() {
-		_, err := RegisterEndpoint(rv.Advertised(), 1, Endpoint{Addr: addrFor(1), Host: "node-1"}, 10*time.Second)
-		newDone <- err
-	}()
-
-	conn, err := dial(rv.Advertised())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "0 %s\n", addrFor(0)); err != nil {
-		t.Fatal(err)
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := strings.Fields(line)
-	if len(addrs) != 2 || addrs[0] != addrFor(0) || addrs[1] != addrFor(1) {
-		t.Fatalf("legacy address line %q", line)
-	}
-	if err := <-newDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
-	if book := rv.Book(); book[0].Host != "" || book[1].Host != "node-1" {
-		t.Fatalf("book hosts %+v", book)
 	}
 }

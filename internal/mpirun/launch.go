@@ -22,11 +22,6 @@ const (
 	DefaultGrace = 5 * time.Second
 )
 
-// abortSendTimeout bounds the launcher's per-rank abort delivery; remote
-// hosts can be slower than loopback but an abort must never stall the
-// teardown.
-const abortSendTimeout = 2 * time.Second
-
 // procResult is one reaped child: its world rank and exit error.
 type procResult struct {
 	rank int
@@ -40,18 +35,20 @@ type procResult struct {
 //
 // Failure semantics span hosts: a rank that exits before the world is wired
 // cancels the rendezvous and fails the job immediately; after wiring, the
-// first abnormal exit triggers an abort broadcast to every surviving rank's
-// advertised address (their blocked MPI calls return mpi.ErrAborted), and
-// once spec.Grace expires the remaining process groups are killed — through
-// the remote agent or daemon for ranks on other hosts. Canceling ctx aborts
-// and kills the job the same way and returns ctx.Err().
+// first abnormal exit triggers an abort over every surviving rank's control
+// session (their blocked MPI calls return mpi.ErrAborted), and once
+// spec.Grace expires the remaining process groups are killed — through the
+// remote agent or daemon for ranks on other hosts. Canceling ctx aborts and
+// kills the job the same way and returns ctx.Err(). The sessions are closed
+// only once every rank is reaped and its session has reached EOF, so every
+// final telemetry report is in spec.Telemetry when Launch returns.
 func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	sp, err := spec.spawner()
-	if err != nil {
-		return err
+	sp := spec.Spawner
+	if sp == nil {
+		sp = NewLocalSpawner()
 	}
 	timeout := spec.Timeout
 	if timeout <= 0 {
@@ -81,6 +78,8 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if err != nil {
 		return err
 	}
+	defer rv.Close()
+	rv.SetTelemetry(spec.Telemetry)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(timeout) }()
 
@@ -186,7 +185,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 				// Serve returns now rather than waiting out the full
 				// timeout with the launcher blocked behind it.
 				record(r)
-				rv.Close()
+				rv.cancel()
 				if err := <-serveErr; err == nil {
 					// Serve completed in the closing window after all; the
 					// world is wired, supervise normally.
@@ -204,11 +203,10 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	}
 
 	// Phase 2: supervise the running job. On the first abnormal exit,
-	// broadcast a launcher abort so every survivor's blocked MPI calls —
-	// on every host — fail with mpi.ErrAborted, then give them grace to
-	// exit on their own before killing the remaining process groups
-	// (through the agents or daemons for remote ranks).
-	book := rv.Book()
+	// send a launcher abort down every session so every survivor's blocked
+	// MPI calls — on every host — fail with mpi.ErrAborted, then give them
+	// grace to exit on their own before killing the remaining process
+	// groups (through the agents or daemons for remote ranks).
 	aborted := false
 	var graceCh <-chan time.Time
 	maybeAbort := func() {
@@ -227,7 +225,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		}
 		fmt.Fprintf(os.Stderr, "mphrun: rank %d%s failed; aborting %d surviving rank(s) (grace %v)\n",
 			primary, hostTag(spec.Procs[primary].Host), survivors, grace)
-		broadcastAbort(book, exited)
+		rv.Abort(1)
 		graceCh = time.After(grace)
 	}
 	maybeAbort()
@@ -237,7 +235,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		case <-ctx.Done():
 			if !canceled {
 				canceled = true
-				broadcastAbort(book, exited)
+				rv.Abort(1)
 				killAll()
 			}
 			record(<-results)
@@ -257,6 +255,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	for _, h := range handles {
 		h.Wait()
 	}
+	rv.drain(ctlIOTimeout)
 	if canceled {
 		return ctx.Err()
 	}
@@ -364,27 +363,6 @@ func hostTag(host string) string {
 	return "@" + host
 }
 
-// broadcastAbort pushes a launcher abort (origin AbortOriginLauncher, code
-// 1) to the advertised address of every rank that has not exited yet. Best
-// effort and parallel: a rank that died without being reaped yet simply
-// refuses the dial.
-func broadcastAbort(book []Endpoint, exited []bool) {
-	var wg sync.WaitGroup
-	for rank, ep := range book {
-		if rank < len(exited) && exited[rank] {
-			continue
-		}
-		wg.Add(1)
-		go func(rank int, ep Endpoint) {
-			defer wg.Done()
-			if err := SendAbort(ep.Addr, 1, AbortOriginLauncher, abortSendTimeout); err != nil {
-				fmt.Fprintf(os.Stderr, "mphrun: abort to rank %d%s (%s): %v\n", rank, hostTag(ep.Host), ep.Addr, err)
-			}
-		}(rank, ep)
-	}
-	wg.Wait()
-}
-
 // failureReport summarises abnormal exits grouped per component executable,
 // or returns nil when every rank exited cleanly. primary is the first rank
 // whose failure was observed (-1 if none); the others typically failed as
@@ -464,12 +442,7 @@ func relay(dst io.Writer, src io.Reader, prefix string, wg *sync.WaitGroup) {
 		case errors.Is(err, io.EOF):
 			return
 		default:
-			// A closed pipe is the ordinary teardown race (cmd.Wait closes
-			// the child's pipes while the relay drains); only unexpected
-			// errors are worth the operator's attention.
-			if !errors.Is(err, os.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
-				fmt.Fprintf(os.Stderr, "mphrun: output relay for %sstream failed: %v\n", prefix, err)
-			}
+			fmt.Fprintf(os.Stderr, "mphrun: output relay for %sstream failed: %v\n", prefix, err)
 			return
 		}
 	}

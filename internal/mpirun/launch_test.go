@@ -2,6 +2,8 @@ package mpirun
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -100,5 +102,55 @@ func TestRelayStopsOnClosedPipe(t *testing.T) {
 	}
 	if got, want := out.String(), "[rank 2] last words\n"; got != want {
 		t.Fatalf("relay output %q, want %q", got, want)
+	}
+}
+
+// slowLines is a relay destination that counts lines and sleeps on every
+// write, standing in for a launcher whose stdout is a slow pipe or terminal.
+type slowLines struct {
+	mu    sync.Mutex
+	lines int
+}
+
+func (w *slowLines) Write(p []byte) (int, error) {
+	time.Sleep(20 * time.Microsecond)
+	w.mu.Lock()
+	w.lines += bytes.Count(p, []byte{'\n'})
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+// TestSpawnRelaysEveryLine pins that a child's output is relayed in full
+// even when the child exits long before the relay has drained its pipe:
+// the reaper must not close the pipe (cmd.Wait does) while the relay is
+// still reading. The child writes two bursts, so the second one is still
+// in the pipe when it exits while the relay works through the first.
+func TestSpawnRelaysEveryLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	const n = 1000
+	out := &slowLines{}
+	script := fmt.Sprintf("seq 1 %d; sleep 0.05; seq %d %d", n/2, n/2+1, n)
+	block := Block{
+		Procs:      []Proc{{Rank: 0, Argv: []string{"sh", "-c", script}}},
+		Size:       1,
+		Rendezvous: "127.0.0.1:1",
+		Stdout:     out,
+	}
+	h, err := NewLocalSpawner().Spawn(context.Background(), "", block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range h.Exits() {
+		if e.Err != nil {
+			t.Fatalf("child exited: %v", e.Err)
+		}
+	}
+	h.Wait()
+	out.mu.Lock()
+	defer out.mu.Unlock()
+	if out.lines != n {
+		t.Fatalf("relayed %d of %d lines", out.lines, n)
 	}
 }

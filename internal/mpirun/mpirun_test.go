@@ -84,7 +84,7 @@ func TestRendezvousExchange(t *testing.T) {
 	errs := make(chan error, n)
 	for r := 0; r < n; r++ {
 		go func(rank int) {
-			book, err := RegisterEndpoint(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank)}, 10*time.Second)
+			book, err := registerBook(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank)}, 10*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -112,12 +112,22 @@ func TestRendezvousExchange(t *testing.T) {
 	}
 }
 
+// registerBook registers one rank, returns its endpoint book, and hangs up.
+func registerBook(rendezvous string, rank int, ep Endpoint, timeout time.Duration) ([]Endpoint, error) {
+	s, err := Register(rendezvous, rank, ep, timeout)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Book(), nil
+}
+
 func addrFor(rank int) string {
 	return "10.0.0.1:" + string(rune('a'+rank)) // any distinct token works: addresses are opaque strings
 }
 
 func TestRegisterDialFailure(t *testing.T) {
-	if _, err := RegisterEndpoint("127.0.0.1:1", 0, Endpoint{Addr: "x:1"}, 200*time.Millisecond); err == nil {
+	if _, err := registerBook("127.0.0.1:1", 0, Endpoint{Addr: "x:1"}, 200*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -191,7 +201,7 @@ func TestRendezvousBook(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(10 * time.Second) }()
 	for r := 0; r < n; r++ {
-		go RegisterEndpoint(rv.Advertised(), r, Endpoint{Addr: addrFor(r)}, 10*time.Second)
+		go registerBook(rv.Advertised(), r, Endpoint{Addr: addrFor(r)}, 10*time.Second)
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)

@@ -90,11 +90,10 @@ func rankPrefix(p Proc, host string) string {
 	return fmt.Sprintf("[exe%d rank%d@%s] ", p.Exe, p.Rank, host)
 }
 
-// Spawner starts the host-local rank blocks of a launch. It is the typed
-// replacement for the stringly Backend switches the launcher used to thread:
-// each backend is now a value resolved once from the CLI (or constructed
-// directly by embedding callers), and the launcher calls Spawn per host
-// without knowing how ranks come to life there.
+// Spawner starts the host-local rank blocks of a launch. Each backend is a
+// value resolved once from the CLI (or constructed directly by embedding
+// callers), and the launcher calls Spawn per host without knowing how ranks
+// come to life there.
 type Spawner interface {
 	// Name is the CLI spelling of the spawner ("local", "exec", "ssh",
 	// "daemon"), used in launcher banners and error reports.
@@ -117,39 +116,6 @@ type HostProber interface {
 	// ProbeHost checks one placement host; a nil return means the host can
 	// spawn ranks right now.
 	ProbeHost(ctx context.Context, host string) error
-}
-
-// SpawnerOptions carries the CLI-level knobs NewSpawner maps onto the
-// spawner constructors.
-type SpawnerOptions struct {
-	// AgentPath is the mphrun binary run as the remote agent ("" = this
-	// executable).
-	AgentPath string
-	// SSHOptions are extra ssh arguments for the ssh spawner.
-	SSHOptions []string
-	// DaemonPort is the mphd control port on every host (0 =
-	// DefaultDaemonPort).
-	DaemonPort int
-	// DaemonAddr, when set, sends every block to this one daemon address
-	// regardless of host label (single-machine testing of the daemon path).
-	DaemonAddr string
-}
-
-// NewSpawner is the conversion helper from the deprecated stringly Backend
-// constants to a Spawner value. New code should call the constructors
-// directly.
-func NewSpawner(b Backend, opts SpawnerOptions) (Spawner, error) {
-	switch b {
-	case BackendLocal, "":
-		return NewLocalSpawner(), nil
-	case BackendExec:
-		return NewExecSpawner(opts.AgentPath), nil
-	case BackendSSH:
-		return NewSSHSpawner(opts.AgentPath, opts.SSHOptions), nil
-	case BackendDaemon:
-		return NewDaemonSpawner(opts.DaemonAddr, opts.DaemonPort), nil
-	}
-	return nil, fmt.Errorf("unknown backend %q (want local, exec, ssh, or daemon)", b)
 }
 
 // dedupEnv collapses duplicate KEY=VALUE entries, keeping each key's last
@@ -381,6 +347,9 @@ type procChild struct {
 	// done is closed once the child has been reaped; it cancels the kill
 	// backstop.
 	done chan struct{}
+	// relays counts the child's two output relays still draining; the
+	// reaper waits for them before cmd.Wait, which closes the pipes.
+	relays sync.WaitGroup
 
 	killOnce sync.Once
 }
@@ -415,7 +384,6 @@ type procHandle struct {
 	exits    chan RankExit
 	children map[int]*procChild
 	reapWG   sync.WaitGroup
-	outWG    sync.WaitGroup
 }
 
 // spawnProcs starts one OS process per rank of the block — assembled by
@@ -445,7 +413,6 @@ func spawnProcs(host string, block Block, command func(p Proc) (*exec.Cmd, bool,
 			}
 			c.agentIn = stdin
 		}
-		prefix := rankPrefix(p, host)
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			return abort(err)
@@ -454,22 +421,25 @@ func spawnProcs(host string, block Block, command func(p Proc) (*exec.Cmd, bool,
 		if err != nil {
 			return abort(err)
 		}
-		h.outWG.Add(2)
-		go relay(block.stdout(), stdout, prefix, &h.outWG)
-		go relay(block.stderr(), stderr, prefix, &h.outWG)
 		setProcGroup(cmd)
 		if err := cmd.Start(); err != nil {
 			return abort(fmt.Errorf("start %q (rank %d): %w", strings.Join(p.Argv, " "), p.Rank, err))
 		}
+		prefix := rankPrefix(p, host)
+		c.relays.Add(2)
+		go relay(block.stdout(), stdout, prefix, &c.relays)
+		go relay(block.stderr(), stderr, prefix, &c.relays)
 		h.children[p.Rank] = c
 	}
 	// Reap each child on its own goroutine so a process that dies before the
 	// rendezvous completes surfaces immediately instead of leaving the
-	// launcher waiting out the timeout.
+	// launcher waiting out the timeout. The relays drain to EOF first:
+	// cmd.Wait closes the pipes, and would drop the child's last lines.
 	for _, c := range h.children {
 		h.reapWG.Add(1)
 		go func(c *procChild) {
 			defer h.reapWG.Done()
+			c.relays.Wait()
 			err := c.cmd.Wait()
 			close(c.done)
 			h.exits <- RankExit{Rank: c.rank, Err: err}
@@ -499,7 +469,4 @@ func (h *procHandle) Kill(rank int) {
 }
 
 // Wait implements Handle.
-func (h *procHandle) Wait() {
-	h.reapWG.Wait()
-	h.outWG.Wait()
-}
+func (h *procHandle) Wait() { h.reapWG.Wait() }

@@ -160,7 +160,7 @@ func TestParseHostList(t *testing.T) {
 	}
 }
 
-func TestParsePlacementAndBackend(t *testing.T) {
+func TestParsePlacement(t *testing.T) {
 	for s, want := range map[string]Placement{"": PlaceBlock, "block": PlaceBlock, "cyclic": PlaceCyclic} {
 		got, err := ParsePlacement(s)
 		if err != nil || got != want {
@@ -169,15 +169,6 @@ func TestParsePlacementAndBackend(t *testing.T) {
 	}
 	if _, err := ParsePlacement("random"); err == nil {
 		t.Error("accepted placement \"random\"")
-	}
-	for s, want := range map[string]Backend{"": BackendLocal, "local": BackendLocal, "exec": BackendExec, "ssh": BackendSSH} {
-		got, err := ParseBackend(s)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseBackend("rsh"); err == nil {
-		t.Error("accepted backend \"rsh\"")
 	}
 }
 
@@ -272,7 +263,6 @@ func TestLaunchSpecValidate(t *testing.T) {
 		"empty":          {},
 		"sparse ranks":   {Procs: []Proc{{Rank: 1, Argv: []string{"a"}}}},
 		"no command":     {Procs: []Proc{{Rank: 0}}},
-		"bad backend":    {Procs: []Proc{{Rank: 0, Argv: []string{"a"}}}, Backend: "rsh"},
 		"host but local": {Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}},
 	}
 	for name, spec := range cases {
@@ -280,7 +270,7 @@ func TestLaunchSpecValidate(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	remote := &LaunchSpec{Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}, Backend: BackendExec}
+	remote := &LaunchSpec{Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}, Spawner: NewExecSpawner("")}
 	if err := remote.Validate(); err != nil {
 		t.Errorf("exec spec with host rejected: %v", err)
 	}

@@ -1,11 +1,9 @@
 package mpirun
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -13,23 +11,6 @@ import (
 
 	"mph/internal/mpi/perf"
 )
-
-// EnvTelemetry is the launcher's telemetry-channel address. When set, every
-// rank dials it at transport init, runs the clock-sync handshake, and pushes
-// perf.Snapshot reports: periodically at perf.EnvStatsInterval, and a final
-// report at shutdown or abort. mphrun sets it for all children when live
-// telemetry is requested.
-const EnvTelemetry = "MPH_TELEMETRY"
-
-// DefaultClockSyncRounds is how many ping-pong round trips the clock-sync
-// handshake performs per rank. The estimate keeps the minimum-RTT round, so
-// a handful of rounds suffices to dodge scheduling noise.
-const DefaultClockSyncRounds = 8
-
-// telemetryIOTimeout bounds every read or write on a telemetry connection.
-// Telemetry is best-effort diagnostics: a wedged launcher must never stall a
-// rank, and a wedged rank must never stall the aggregator.
-const telemetryIOTimeout = 5 * time.Second
 
 // DefaultStaleAfter is how long a live (non-final) rank may go without a
 // report before the job view marks it stale. Reporting ranks push at their
@@ -71,27 +52,6 @@ func EstimateClockOffset(samples []ClockSample) (offset, bound int64, ok bool) {
 	}
 	s := samples[best]
 	return s.TS - (s.T0+s.T3)/2, s.RTT() / 2, true
-}
-
-// teleMsg is one line of the telemetry wire protocol (line-delimited JSON
-// over TCP, one connection per rank):
-//
-//	client: {"kind":"hello","rank":R,"host":"H","pid":P}
-//	client: {"kind":"ping","seq":i,"t0":<client ns>}     (×K rounds)
-//	server: {"kind":"pong","seq":i,"ts":<server ns>}
-//	client: {"kind":"report","seq":n,"final":F,"snap":{Snapshot}}
-//
-// Reports are one-way; the server never writes after the sync rounds.
-type teleMsg struct {
-	Kind  string         `json:"kind"`
-	Rank  int            `json:"rank,omitempty"`
-	Host  string         `json:"host,omitempty"`
-	PID   int            `json:"pid,omitempty"`
-	Seq   uint64         `json:"seq,omitempty"`
-	T0    int64          `json:"t0,omitempty"`
-	TS    int64          `json:"ts,omitempty"`
-	Final bool           `json:"final,omitempty"`
-	Snap  *perf.Snapshot `json:"snap,omitempty"`
 }
 
 // rankReport is the aggregator's state for one reporting rank: the latest
@@ -153,149 +113,28 @@ type JobView struct {
 	Ranks []RankStatus `json:"ranks"`
 }
 
-// Telemetry is the launcher-side telemetry plane: a TCP endpoint ranks push
-// perf.Snapshot reports to (answering their clock-sync pings), an aggregator
-// merging the per-rank reports into a live job view, and an http.Handler
-// serving the view as Prometheus /metrics and JSON /status.
+// Telemetry is the launcher-side telemetry plane: an aggregator merging
+// the perf.Snapshot reports ranks push over their control sessions (see
+// Rendezvous.SetTelemetry) into a live job view, and an http.Handler serving
+// the view as Prometheus /metrics and JSON /status.
 type Telemetry struct {
-	ln         net.Listener
-	addr       string
 	size       int
+	interval   time.Duration
 	staleAfter time.Duration
 
 	mu      sync.Mutex
 	reports map[int]*rankReport
-	conns   map[net.Conn]struct{}
-	closed  bool
-
-	wg sync.WaitGroup
 }
 
-// NewTelemetry starts the telemetry endpoint for a world of the given size
-// on the given bind host ("" = loopback, wildcard = all interfaces with a
-// routable address advertised). Close it when the job ends.
-func NewTelemetry(bind string, size int) (*Telemetry, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mpirun: telemetry for world of %d", size)
-	}
-	ln, err := net.Listen("tcp", ListenAddr(bind))
-	if err != nil {
-		return nil, fmt.Errorf("mpirun: telemetry listen: %w", err)
-	}
-	t := &Telemetry{
-		ln:         ln,
-		addr:       AdvertiseAddr(bind, ln.Addr()),
+// NewTelemetry returns the aggregator for a world of the given size. The
+// interval is the periodic report period the launcher asks every rank for
+// (0 = a final report at shutdown only).
+func NewTelemetry(size int, interval time.Duration) *Telemetry {
+	return &Telemetry{
 		size:       size,
+		interval:   interval,
 		staleAfter: DefaultStaleAfter,
 		reports:    make(map[int]*rankReport),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	t.wg.Add(1)
-	go t.acceptLoop()
-	return t, nil
-}
-
-// Addr returns the routable address ranks should dial (the EnvTelemetry
-// value the launcher forwards).
-func (t *Telemetry) Addr() string {
-	return t.addr
-}
-
-// Close stops the endpoint. Aggregated reports stay readable afterwards, so
-// the launcher can still print a final summary from them.
-func (t *Telemetry) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	conns := make([]net.Conn, 0, len(t.conns))
-	for c := range t.conns {
-		conns = append(conns, c)
-	}
-	t.mu.Unlock()
-	err := t.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	t.wg.Wait()
-	return err
-}
-
-// acceptLoop receives rank connections and spawns a handler per rank.
-func (t *Telemetry) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			defer func() {
-				t.mu.Lock()
-				delete(t.conns, conn)
-				t.mu.Unlock()
-				conn.Close()
-			}()
-			t.handleConn(conn)
-		}()
-	}
-}
-
-// handleConn runs one rank's telemetry session: hello, clock-sync pongs,
-// then report ingestion until the rank hangs up. Malformed input just ends
-// the session — telemetry must never take a job down.
-func (t *Telemetry) handleConn(conn net.Conn) {
-	rd := bufio.NewReader(conn)
-	dec := json.NewDecoder(rd)
-	rank, host, pid := -1, "", 0
-	for {
-		// No read deadline: a final-only rank is silent for the whole job.
-		// The session ends when the rank hangs up or Close tears it down.
-		var msg teleMsg
-		if err := dec.Decode(&msg); err != nil {
-			return
-		}
-		switch msg.Kind {
-		case "hello":
-			rank, host, pid = msg.Rank, msg.Host, msg.PID
-		case "ping":
-			pong := teleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}
-			b, err := json.Marshal(pong)
-			if err != nil {
-				return
-			}
-			conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-			if _, err := conn.Write(append(b, '\n')); err != nil {
-				return
-			}
-		case "report":
-			if msg.Snap == nil {
-				continue
-			}
-			r := msg.Snap.WorldRank
-			if rank >= 0 {
-				r = rank
-			}
-			if msg.Snap.Host == "" {
-				msg.Snap.Host = host
-			}
-			if msg.Snap.PID == 0 {
-				msg.Snap.PID = pid
-			}
-			t.Ingest(r, *msg.Snap, msg.Seq, msg.Final, time.Now())
-		}
 	}
 }
 
@@ -303,7 +142,7 @@ func (t *Telemetry) handleConn(conn net.Conn) {
 // Reports carry a per-rank sequence number; one arriving out of order
 // (an older seq than the latest merged) is dropped, so a delayed periodic
 // report can never overwrite the final one. Exported for aggregator tests;
-// the TCP sessions call it internally.
+// the control sessions call it internally.
 func (t *Telemetry) Ingest(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time) {
 	if rank < 0 || rank >= t.size {
 		return
@@ -489,96 +328,4 @@ func (t *Telemetry) WriteMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "mph_rank_stale{%s} %d\n", labels(rs), v)
 	}
-}
-
-// TelemetryClient is the rank side of the telemetry channel: one TCP
-// connection to the launcher, a clock-sync handshake at dial time, then
-// one-way snapshot reports.
-type TelemetryClient struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	enc    *json.Encoder
-	seq    uint64
-	closed bool
-
-	offset, bound int64
-	synced        bool
-}
-
-// DialTelemetry connects to the launcher's telemetry endpoint, introduces
-// the rank, and runs the clock-sync handshake (DefaultClockSyncRounds
-// ping-pong rounds, minimum-RTT midpoint estimate). The handshake result is
-// available via ClockOffset; a handshake that fails midway degrades to "no
-// offset" rather than failing the dial, because telemetry must never take a
-// rank down.
-func DialTelemetry(addr string, rank int, host string, pid int, timeout time.Duration) (*TelemetryClient, error) {
-	if timeout <= 0 {
-		timeout = telemetryIOTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("mpirun: dial telemetry %s: %w", addr, err)
-	}
-	c := &TelemetryClient{conn: conn, enc: json.NewEncoder(conn)}
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := c.enc.Encode(teleMsg{Kind: "hello", Rank: rank, Host: host, PID: pid}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("mpirun: telemetry hello: %w", err)
-	}
-	c.clockSync(timeout)
-	return c, nil
-}
-
-// clockSync runs the ping-pong rounds and stores the offset estimate.
-func (c *TelemetryClient) clockSync(timeout time.Duration) {
-	dec := json.NewDecoder(c.conn)
-	samples := make([]ClockSample, 0, DefaultClockSyncRounds)
-	for i := 0; i < DefaultClockSyncRounds; i++ {
-		t0 := time.Now().UnixNano()
-		c.conn.SetWriteDeadline(time.Now().Add(timeout))
-		if err := c.enc.Encode(teleMsg{Kind: "ping", Seq: uint64(i), T0: t0}); err != nil {
-			break
-		}
-		c.conn.SetReadDeadline(time.Now().Add(timeout))
-		var pong teleMsg
-		if err := dec.Decode(&pong); err != nil || pong.Kind != "pong" {
-			break
-		}
-		samples = append(samples, ClockSample{T0: t0, TS: pong.TS, T3: time.Now().UnixNano()})
-	}
-	if off, bound, ok := EstimateClockOffset(samples); ok {
-		c.offset, c.bound, c.synced = off, bound, true
-	}
-}
-
-// ClockOffset returns the clock-sync result: the estimated
-// launcher_clock − rank_clock offset, its half-RTT error bound, and whether
-// the handshake produced a usable estimate.
-func (c *TelemetryClient) ClockOffset() (offset, bound int64, ok bool) {
-	return c.offset, c.bound, c.synced
-}
-
-// Report pushes one snapshot to the launcher. Reports carry a sequence
-// number so the aggregator can drop reordered arrivals; final marks the
-// shutdown (or abort) report that ends the rank's live rate derivation.
-func (c *TelemetryClient) Report(snap perf.Snapshot, final bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return net.ErrClosed
-	}
-	c.seq++
-	c.conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-	return c.enc.Encode(teleMsg{Kind: "report", Seq: c.seq, Final: final, Snap: &snap})
-}
-
-// Close hangs up the telemetry connection. Safe to call more than once.
-func (c *TelemetryClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
 }

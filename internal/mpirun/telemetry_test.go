@@ -1,10 +1,10 @@
 package mpirun
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +39,7 @@ func TestEstimateClockOffset(t *testing.T) {
 		{
 			name: "min rtt round wins",
 			samples: []ClockSample{
-				{T0: 0, TS: 5000, T3: 1000},  // rtt 1000, noisy
+				{T0: 0, TS: 5000, T3: 1000},    // rtt 1000, noisy
 				{T0: 2000, TS: 2060, T3: 2100}, // rtt 100, tight
 				{T0: 4000, TS: 9000, T3: 4800}, // rtt 800
 			},
@@ -87,11 +87,7 @@ func snapFor(rank int, sent, recv uint64) perf.Snapshot {
 }
 
 func TestTelemetryIngestOutOfOrder(t *testing.T) {
-	tele, err := NewTelemetry("", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tele.Close()
+	tele := NewTelemetry(4, 0)
 	now := time.Now()
 
 	// A delayed periodic report (seq 1) arriving after the final (seq 3)
@@ -112,11 +108,7 @@ func TestTelemetryIngestOutOfOrder(t *testing.T) {
 }
 
 func TestTelemetryIngestPartialAndStale(t *testing.T) {
-	tele, err := NewTelemetry("", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tele.Close()
+	tele := NewTelemetry(3, 0)
 	tele.SetStaleAfter(10 * time.Second)
 	now := time.Now()
 
@@ -161,11 +153,7 @@ func TestTelemetryIngestPartialAndStale(t *testing.T) {
 }
 
 func TestTelemetryRates(t *testing.T) {
-	tele, err := NewTelemetry("", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tele.Close()
+	tele := NewTelemetry(1, 0)
 	now := time.Now()
 
 	tele.Ingest(0, snapFor(0, 100, 0), 1, false, now)
@@ -189,31 +177,47 @@ func TestTelemetryRates(t *testing.T) {
 	}
 }
 
+// TestTelemetryEndToEnd runs the telemetry plane over real control
+// sessions: two ranks register with a Rendezvous that carries a Telemetry,
+// sync clocks, and push reports that the aggregator serves over HTTP.
 func TestTelemetryEndToEnd(t *testing.T) {
-	tele, err := NewTelemetry("", 2)
+	tele := NewTelemetry(2, 0)
+	rv, err := NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tele.Close()
+	defer rv.Close()
+	rv.SetTelemetry(tele)
+	go rv.Serve(5 * time.Second)
 
-	// Two ranks dial, sync clocks, and push reports over real TCP.
+	errs := make(chan error, 2)
 	for rank := 0; rank < 2; rank++ {
-		c, err := DialTelemetry(tele.Addr(), rank, "host-x", os.Getpid(), time.Second)
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+		go func(rank int) {
+			errs <- func() error {
+				s, err := Register(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank), Host: "host-x"}, 5*time.Second)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				if on, interval := s.Reporting(); !on || interval != 0 {
+					return fmt.Errorf("rank %d: reporting = %v, %v; want on, final only", rank, on, interval)
+				}
+				if _, bound, ok := s.ClockOffset(); !ok || bound < 0 {
+					return fmt.Errorf("rank %d: clock sync failed over loopback (ok=%v bound=%d)", rank, ok, bound)
+				}
+				snap := snapFor(rank, 4, 4)
+				snap.Host = "" // the registration's host must backfill it
+				if err := s.Report(snap, false); err != nil {
+					return err
+				}
+				return s.Report(snapFor(rank, 9, 9), true)
+			}()
+		}(rank)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
-		if _, bound, ok := c.ClockOffset(); !ok || bound < 0 {
-			t.Errorf("rank %d: clock sync failed over loopback (ok=%v bound=%d)", rank, ok, bound)
-		}
-		snap := snapFor(rank, 4, 4)
-		snap.Host = "" // the hello's host must backfill it
-		if err := c.Report(snap, false); err != nil {
-			t.Fatalf("rank %d report: %v", rank, err)
-		}
-		if err := c.Report(snapFor(rank, 9, 9), true); err != nil {
-			t.Fatalf("rank %d final: %v", rank, err)
-		}
-		c.Close()
 	}
 
 	// Reports travel asynchronously; wait for both finals.

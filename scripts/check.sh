@@ -29,6 +29,8 @@
 # (MPH_EAGER_THRESHOLD=0) and asserts the summary counts at least one
 # intra-host payload frame AND still reconciles — proof the Unix-socket
 # payload channel engaged under a real exec-backend launch and lost nothing.
+# The mpirun race step covers the rank↔launcher control session: rendezvous,
+# clock sync, telemetry reports, the abort relay and the launcher lease.
 # The daemon smoke starts a real mphd and launches the climate job through it
 # (-backend daemon), proving the persistent-agent path works outside the unit
 # tests; the L1 smoke keeps the launch-latency harness executable.
@@ -43,7 +45,10 @@ go build ./...
 go test ./...
 go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
-go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun
+go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun
+# The benchmark module builds against this module's mpirun API; vetting and
+# testing it here makes an API change that breaks the benchmark fail CI.
+(cd e2ebench && go vet ./... && go test ./...)
 go test -run=NONE -bench=BenchmarkTracerOverhead -benchtime=1x ./internal/mpi
 go test -run=NONE -bench=BenchmarkAllgather -benchtime=1x ./internal/mpi
 
