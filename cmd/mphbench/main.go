@@ -10,10 +10,11 @@
 //
 // Without -exp every experiment runs.
 //
-// The binary doubles as its own launch target for the L1 launch-latency
-// sweep: invoked as "mphbench agent-exec ..." it is the per-rank agent of
-// the exec/ssh backends, and with MPH_BENCH_WORKER=1 in the environment it
-// is a minimal rank that joins the rendezvous and exits.
+// The binary doubles as its own launch target for the L1 launch-latency and
+// C1 collective sweeps: invoked as "mphbench agent-exec ..." it is the
+// per-rank agent of the exec/ssh backends, and with MPH_BENCH_WORKER=1 in
+// the environment it is a rank that joins the rendezvous, runs the C1 cell
+// its arguments name (if any), and exits.
 package main
 
 import (
@@ -22,6 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -583,185 +587,117 @@ func tcpPair(fn0, fn1 func(c *mpi.Comm) error) error {
 // benchCollPath is where c1 writes its JSON sweep (-collout).
 var benchCollPath string
 
-// c1 sweeps Allgather and Allreduce payload sizes on 8 ranks with the
-// tree and ring algorithms each pinned via MPH_COLL_RING_THRESHOLD, prints
-// the per-operation times side by side, and writes the sweep to
-// BENCH_coll.json so the crossover recorded in EXPERIMENTS.md stays
-// reproducible. The ratio column is tree/ring: above 1.0 the ring wins.
-// A second table repeats the sweep over a 2–4 host matrix (SetHosts on an
-// in-process world, block placement) with the two-level hierarchical
-// algorithm pinned off and on via MPH_COLL_HIER, recording the
-// flat-vs-hierarchical crossover. In-process "hosts" share one address
-// space, so these cells price the hierarchy's extra message count and
-// pipelining, not a real network win — see EXPERIMENTS.md.
-func c1(repeat int) error {
-	fmt.Println("C1: collective algorithm crossover, tree vs ring (8 ranks)")
-	const ranks = 8
-	sizes := []int{256, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+// c1Ranks is the world size of every C1 cell.
+const c1Ranks = 8
 
-	// measure returns the best per-operation time for one (op, size,
-	// algorithm) cell. The world is created after pinning the threshold —
-	// the selector is read at environment construction.
-	measure := func(threshold string, size int, op func(c *mpi.Comm, size int) error) (time.Duration, error) {
-		old, had := os.LookupEnv(mpi.EnvCollRingThreshold)
-		os.Setenv(mpi.EnvCollRingThreshold, threshold)
-		defer func() {
-			if had {
-				os.Setenv(mpi.EnvCollRingThreshold, old)
-			} else {
-				os.Unsetenv(mpi.EnvCollRingThreshold)
-			}
-		}()
-		w, err := mpi.NewWorld(ranks)
-		if err != nil {
-			return 0, err
-		}
-		defer w.Close()
-		// Amortise per-call noise on small payloads without making the
-		// megabyte cells crawl.
-		rounds := 1 << 20 / size
-		if rounds < 2 {
-			rounds = 2
-		}
-		if rounds > 64 {
-			rounds = 64
-		}
-		d, err := timeIt(repeat, func() error {
-			return w.Run(func(c *mpi.Comm) error {
-				for i := 0; i < rounds; i++ {
-					if err := op(c, size); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-		return d / time.Duration(rounds), err
-	}
+// c1Sizes is the C1 payload axis: per-rank block bytes for Allgather, the
+// reduced vector's bytes for Allreduce.
+var c1Sizes = []int{256, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
-	allgather := func(c *mpi.Comm, size int) error {
+// collOps are the collectives a C1 cell can time, keyed by the name the
+// launcher passes to the worker.
+var collOps = map[string]func(c *mpi.Comm, size int) error{
+	"allgather": func(c *mpi.Comm, size int) error {
 		_, err := c.Allgather(make([]byte, size))
 		return err
-	}
-	allreduce := func(c *mpi.Comm, size int) error {
+	},
+	"allreduce": func(c *mpi.Comm, size int) error {
 		_, err := c.AllreduceFloats(make([]float64, size/8), mpi.OpSum)
 		return err
-	}
+	},
+}
 
-	type row struct {
-		Op           string  `json:"op"`
-		Ranks        int     `json:"ranks"`
-		PayloadBytes int     `json:"payload_bytes"`
-		TreeNsPerOp  int64   `json:"tree_ns_per_op"`
-		RingNsPerOp  int64   `json:"ring_ns_per_op"`
-		TreeOverRing float64 `json:"tree_over_ring"`
-	}
-	var rows []row
-	ops := []struct {
-		name string
-		run  func(c *mpi.Comm, size int) error
-	}{{"allgather", allgather}, {"allreduce", allreduce}}
-	for _, op := range ops {
-		fmt.Printf("%-10s %-10s %12s %12s %8s\n", "op", "payload", "tree", "ring", "t/r")
-		for _, size := range sizes {
-			tree, err := measure("-1", size, op.run)
-			if err != nil {
-				return err
-			}
-			ring, err := measure("0", size, op.run)
-			if err != nil {
-				return err
-			}
-			ratio := float64(tree) / float64(ring)
-			fmt.Printf("%-10s %-10d %12v %12v %8.2f\n", op.name, size, tree, ring, ratio)
-			rows = append(rows, row{op.name, ranks, size, tree.Nanoseconds(), ring.Nanoseconds(), ratio})
-		}
-	}
+// collRow is one C1 payload size. Allreduce has a single algorithm, so its
+// rows carry only the tree time.
+type collRow struct {
+	Op           string  `json:"op"`
+	Ranks        int     `json:"ranks"`
+	PayloadBytes int     `json:"payload_bytes"`
+	TreeNsPerOp  int64   `json:"tree_ns_per_op"`
+	RingNsPerOp  int64   `json:"ring_ns_per_op,omitempty"`
+	TreeOverRing float64 `json:"tree_over_ring,omitempty"`
+}
 
-	// measureHier times one (op, size) cell on a world whose ranks are block-
-	// partitioned over hostCount published hosts, with the hierarchical
-	// selector pinned via MPH_COLL_HIER (the ring threshold stays at its
-	// default so the flat column is what an untuned job would run).
-	measureHier := func(hier string, hostCount, size int, op func(c *mpi.Comm, size int) error) (time.Duration, error) {
-		old, had := os.LookupEnv(mpi.EnvCollHier)
-		os.Setenv(mpi.EnvCollHier, hier)
-		defer func() {
-			if had {
-				os.Setenv(mpi.EnvCollHier, old)
-			} else {
-				os.Unsetenv(mpi.EnvCollHier)
-			}
-		}()
-		w, err := mpi.NewWorld(ranks)
+// collSweep is the BENCH_coll.json document.
+type collSweep struct {
+	Experiment       string    `json:"experiment"`
+	Repeat           int       `json:"repeat"`
+	GoVersion        string    `json:"go_version"`
+	CPUs             int       `json:"cpus"`
+	DefaultThreshold int       `json:"default_threshold_bytes"`
+	Rows             []collRow `json:"rows"`
+}
+
+// c1 times Allgather (tree and ring, each pinned via
+// MPH_COLL_RING_THRESHOLD) and Allreduce (tree, its only algorithm) over a
+// payload sweep on 8 real tcpnet processes, one mpirun.Launch per cell on
+// the local spawner. It prints the cells as the markdown table
+// EXPERIMENTS.md carries and writes them to BENCH_coll.json. The ratio is
+// tree/ring: above 1.0 the ring wins.
+func c1(repeat int) error {
+	fmt.Printf("C1: collective algorithms on %d tcpnet processes, one host\n", c1Ranks)
+	self, err := os.Executable()
+	if err != nil {
+		return err
+	}
+	out, err := os.MkdirTemp("", "mphbench-c1-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(out)
+
+	// cell launches one job that times op at size with the ring threshold
+	// pinned, and returns rank 0's best per-operation time.
+	cell := func(op, threshold string, size int) (time.Duration, error) {
+		// Amortise per-call noise on small payloads without making the
+		// megabyte cells crawl.
+		rounds := min(max(1<<20/size, 2), 64)
+		result := filepath.Join(out, fmt.Sprintf("%s-%s-%d", op, threshold, size))
+		spec, err := mpirun.NewLaunchSpec([]mpirun.Entry{{Nprocs: c1Ranks, Argv: []string{self,
+			op, strconv.Itoa(size), strconv.Itoa(rounds), strconv.Itoa(repeat), result}}}, nil, mpirun.PlaceBlock)
 		if err != nil {
 			return 0, err
 		}
-		defer w.Close()
-		hosts := make([]string, ranks)
-		for r := range hosts {
-			hosts[r] = fmt.Sprintf("node%d", r*hostCount/ranks)
+		spec.Spawner = mpirun.NewLocalSpawner()
+		spec.Timeout = 120 * time.Second
+		spec.Quiet = true
+		spec.ExtraEnv = []string{"MPH_BENCH_WORKER=1", mpi.EnvCollRingThreshold + "=" + threshold}
+		if err := mpirun.Launch(context.Background(), spec); err != nil {
+			return 0, fmt.Errorf("%s %d B (threshold %s): %w", op, size, threshold, err)
 		}
-		w.SetHosts(hosts)
-		rounds := 1 << 20 / size
-		if rounds < 2 {
-			rounds = 2
+		raw, err := os.ReadFile(result)
+		if err != nil {
+			return 0, err
 		}
-		if rounds > 64 {
-			rounds = 64
-		}
-		d, err := timeIt(repeat, func() error {
-			return w.Run(func(c *mpi.Comm) error {
-				for i := 0; i < rounds; i++ {
-					if err := op(c, size); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-		return d / time.Duration(rounds), err
+		ns, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
+		return time.Duration(ns), err
 	}
 
-	type hierRow struct {
-		Op           string  `json:"op"`
-		Ranks        int     `json:"ranks"`
-		Hosts        int     `json:"hosts"`
-		PayloadBytes int     `json:"payload_bytes"`
-		FlatNsPerOp  int64   `json:"flat_ns_per_op"`
-		HierNsPerOp  int64   `json:"hier_ns_per_op"`
-		FlatOverHier float64 `json:"flat_over_hier"`
-	}
-	var hierRows []hierRow
-	hierSizes := []int{4 << 10, 64 << 10, 1 << 20}
-	fmt.Println("\nC1b: flat vs hierarchical over a host matrix (8 ranks, block placement)")
-	for _, op := range ops {
-		fmt.Printf("%-10s %-6s %-10s %12s %12s %8s\n", "op", "hosts", "payload", "flat", "hier", "f/h")
-		for _, hostCount := range []int{2, 3, 4} {
-			for _, size := range hierSizes {
-				flat, err := measureHier("0", hostCount, size, op.run)
-				if err != nil {
-					return err
-				}
-				hier, err := measureHier("1", hostCount, size, op.run)
-				if err != nil {
-					return err
-				}
-				ratio := float64(flat) / float64(hier)
-				fmt.Printf("%-10s %-6d %-10d %12v %12v %8.2f\n", op.name, hostCount, size, flat, hier, ratio)
-				hierRows = append(hierRows, hierRow{op.name, ranks, hostCount, size,
-					flat.Nanoseconds(), hier.Nanoseconds(), ratio})
-			}
+	var rows []collRow
+	for _, size := range c1Sizes {
+		// Tree and ring of one size run back to back so drift on the host
+		// hits both columns alike.
+		tree, err := cell("allgather", "-1", size)
+		if err != nil {
+			return err
 		}
+		ring, err := cell("allgather", "0", size)
+		if err != nil {
+			return err
+		}
+		rows = append(rows, collRow{"allgather", c1Ranks, size, tree.Nanoseconds(), ring.Nanoseconds(),
+			float64(tree) / float64(ring)})
 	}
+	for _, size := range c1Sizes {
+		tree, err := cell("allreduce", "-1", size)
+		if err != nil {
+			return err
+		}
+		rows = append(rows, collRow{Op: "allreduce", Ranks: c1Ranks, PayloadBytes: size, TreeNsPerOp: tree.Nanoseconds()})
+	}
+	fmt.Print(c1Table(rows))
 
-	sweep := struct {
-		Experiment       string    `json:"experiment"`
-		Repeat           int       `json:"repeat"`
-		DefaultThreshold int       `json:"default_threshold_bytes"`
-		DefaultSegment   int       `json:"default_segment_bytes"`
-		Rows             []row     `json:"rows"`
-		HierRows         []hierRow `json:"hier_rows"`
-	}{"C1", repeat, mpi.DefaultRingThreshold, mpi.DefaultCollSegment, rows, hierRows}
+	sweep := collSweep{"C1", repeat, runtime.Version(), runtime.NumCPU(), mpi.DefaultRingThreshold, rows}
 	data, err := json.MarshalIndent(&sweep, "", "  ")
 	if err != nil {
 		return err
@@ -773,17 +709,108 @@ func c1(repeat int) error {
 	return nil
 }
 
-// benchWorker is the rank body of the L1 sweep: join the TCP world via the
-// rendezvous (the part of launch latency that needs every rank up) and exit
-// immediately, so the measured time is launch overhead, not application work.
+// c1Header is the header row of the C1 table in EXPERIMENTS.md.
+const c1Header = "| payload | allgather tree µs | allgather ring µs | allgather t/r | allreduce tree µs |"
+
+// c1Table renders the C1 rows as the markdown table EXPERIMENTS.md carries:
+// one line per payload size, times in whole microseconds, ratio to two
+// decimals. The drift test in main_test.go holds the document to it.
+func c1Table(rows []collRow) string {
+	var b strings.Builder
+	b.WriteString(c1Header + "\n|---|---|---|---|---|\n")
+	for _, size := range c1Sizes {
+		cells := []string{payloadLabel(size), "", "", "", ""}
+		for _, r := range rows {
+			if r.PayloadBytes != size {
+				continue
+			}
+			switch r.Op {
+			case "allgather":
+				cells[1], cells[2] = micros(r.TreeNsPerOp), micros(r.RingNsPerOp)
+				cells[3] = fmt.Sprintf("%.2f", r.TreeOverRing)
+			case "allreduce":
+				cells[4] = micros(r.TreeNsPerOp)
+			}
+		}
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
+	}
+	return b.String()
+}
+
+// micros formats nanoseconds as whole microseconds.
+func micros(ns int64) string { return fmt.Sprintf("%.0f", float64(ns)/1e3) }
+
+// payloadLabel names a byte count the way the EXPERIMENTS.md tables do.
+func payloadLabel(n int) string {
+	switch {
+	case n >= 1<<20 && n%(1<<20) == 0:
+		return fmt.Sprintf("%d MiB", n>>20)
+	case n >= 1<<10 && n%(1<<10) == 0:
+		return fmt.Sprintf("%d KiB", n>>10)
+	}
+	return fmt.Sprintf("%d B", n)
+}
+
+// benchWorker is the rank body of the launched sweeps. With no arguments
+// (L1) it joins the TCP world via the rendezvous and exits at once, so the
+// measured time is launch overhead, not application work. With a C1 cell
+// as arguments (op, payload bytes, rounds, repeat, result file) it times
+// that collective and rank 0 writes the best per-operation nanoseconds to
+// the result file.
 func benchWorker() int {
 	env, _, err := tcpnet.InitFromEnv()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	env.Close()
+	defer env.Close()
+	if len(os.Args) > 1 {
+		if err := collCell(mpi.WorldComm(env), os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "mphbench worker:", err)
+			return 1
+		}
+	}
 	return 0
+}
+
+// collCell runs one C1 cell on this rank: a warm-up call (which also dials
+// the peers), then repeat timed runs of rounds back-to-back calls, each
+// closed by a Barrier so the time covers the slowest rank.
+func collCell(c *mpi.Comm, args []string) error {
+	if len(args) != 5 {
+		return fmt.Errorf("want op, size, rounds, repeat, result; got %q", args)
+	}
+	op, ok := collOps[args[0]]
+	if !ok {
+		return fmt.Errorf("unknown collective %q", args[0])
+	}
+	var nums [3]int
+	for i := range nums {
+		n, err := strconv.Atoi(args[1+i])
+		if err != nil || n <= 0 {
+			return fmt.Errorf("bad cell parameter %q", args[1+i])
+		}
+		nums[i] = n
+	}
+	size, rounds, repeat := nums[0], nums[1], nums[2]
+	if err := op(c, size); err != nil {
+		return err
+	}
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	best, err := timeIt(repeat, func() error {
+		for i := 0; i < rounds; i++ {
+			if err := op(c, size); err != nil {
+				return err
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil || c.Rank() != 0 {
+		return err
+	}
+	return os.WriteFile(args[4], []byte(strconv.FormatInt(int64(best)/int64(rounds), 10)), 0o644)
 }
 
 // benchLaunchPath is where l1 writes its JSON sweep (-launchout).

@@ -335,54 +335,6 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	}
 }
 
-// TestLaunchHierCollectives forces the two-level host-aware collectives on
-// (MPH_COLL_HIER=1, forwarded to every rank by the launcher) in a 5-rank
-// exec-backend job spanning two uneven hosts, and checks through the stats
-// dumps that the handshake's world collectives actually routed
-// hierarchically (the hier pvar is nonzero) while the job-wide send/recv
-// totals still reconcile — the same assertions scripts/check.sh greps for.
-func TestLaunchHierCollectives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 3}, {Name: "nodeB", Slots: 2}}
-	t.Setenv("MPH_TEST_WORKER", "1")
-	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeA,nodeB,nodeB")
-	t.Setenv(mpi.EnvCollHier, "1")
-	statsDir := filepath.Join(t.TempDir(), "stats")
-	if err := os.MkdirAll(statsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
-	spec.Registration = writeRegistration(t)
-	spec.Timeout = 60 * time.Second
-	spec.Spawner = mpirun.NewExecSpawner("")
-	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
-	if err := mpirun.Launch(context.Background(), spec); err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	if len(snaps) != 5 {
-		t.Fatalf("got %d snapshots, want 5", len(snaps))
-	}
-	_, totals := summarize(snaps)
-	if totals.SentMsgs == 0 || totals.SentMsgs != totals.RecvMsgs {
-		t.Errorf("totals do not reconcile: sent %d, recv %d", totals.SentMsgs, totals.RecvMsgs)
-	}
-	var hier uint64
-	for i := range snaps {
-		for _, c := range snaps[i].Collectives {
-			hier += c.Hier
-		}
-	}
-	if hier == 0 {
-		t.Error("no collective routed hierarchically despite MPH_COLL_HIER=1 across two hosts")
-	}
-}
-
 // TestLaunchShmChannel places all five ranks of an exec-backend job on ONE
 // host with rendezvous forced (MPH_EAGER_THRESHOLD=0, forwarded to every
 // rank), so every non-empty payload is eligible for the intra-host channel,

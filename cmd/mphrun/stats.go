@@ -102,16 +102,15 @@ func printStats(w io.Writer, snaps []perf.Snapshot) {
 		fmt.Fprintf(w, "mphrun: WARNING: totals do not reconcile: %d sent != %d received\n",
 			totals.SentMsgs, totals.RecvMsgs)
 	}
-	var tree, ring, hier uint64
+	var tree, ring uint64
 	for i := range snaps {
 		for _, c := range snaps[i].Collectives {
 			tree += c.Tree
 			ring += c.Ring
-			hier += c.Hier
 		}
 	}
-	if tree+ring+hier > 0 {
-		fmt.Fprintf(w, "mphrun: collective routing: tree=%d ring=%d hier=%d\n", tree, ring, hier)
+	if tree+ring > 0 {
+		fmt.Fprintf(w, "mphrun: collective routing: tree=%d ring=%d\n", tree, ring)
 	}
 	var shmFrames, shmBytes, shmFallbacks uint64
 	for i := range snaps {

@@ -216,11 +216,6 @@ func buildChromeTrace(traces []rankTrace) []chromeEvent {
 				ce.Name, ce.Phase = perf.PhaseName(e.A), "B"
 			case perf.KPhaseEnd:
 				ce.Name, ce.Phase = perf.PhaseName(e.A), "E"
-			case perf.KCollPhaseBegin:
-				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "B"
-				ce.Args = map[string]any{"segment": e.C, "bytes": e.D}
-			case perf.KCollPhaseEnd:
-				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "E"
 			case perf.KSend:
 				ce.Name, ce.Phase, ce.Scope = "send", "i", "t"
 				ce.Args = map[string]any{"dst": e.A, "tag": e.B, "bytes": e.C}

@@ -57,23 +57,14 @@ func vrank(rank, root, size int) int { return (rank - root + size) % size }
 // rrank is the inverse of vrank.
 func rrank(vr, root, size int) int { return (vr + root) % size }
 
-// Bcast broadcasts data from root to every rank. Communicators spanning
-// more than one host route through the two-level host-aware broadcast
-// (collective_hier.go); otherwise a binomial tree runs flat. The root
-// passes the payload; other ranks pass nil. Every rank receives the
-// broadcast value as the return. The returned slice is a private copy
-// on every rank, root included: mutating it never changes the caller's
-// input, and mutating the input after Bcast never changes the result.
+// Bcast broadcasts data from root to every rank over a binomial tree. The
+// root passes the payload; other ranks pass nil. Every rank receives the
+// broadcast value as the return. The returned slice is a private copy on
+// every rank, root included: mutating it never changes the caller's input,
+// and mutating the input after Bcast never changes the result.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	defer c.collBegin(perf.CollBcast)()
-	var buf []byte
-	var err error
-	if c.useHier() {
-		c.env.pv.CollAlgo(perf.CollBcast, perf.AlgHier)
-		buf, err = c.bcastHier(root, data)
-	} else {
-		buf, err = c.bcastOn(tagBcast, root, data)
-	}
+	buf, err := c.bcastOn(tagBcast, root, data)
 	if err != nil {
 		return nil, err
 	}
@@ -139,12 +130,10 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 // Allgather collects each rank's payload at every rank, in rank order.
 // Payload sizes may differ per rank (allgatherv); a Bruck size exchange
 // first gives every rank the full size vector, from which all ranks make
-// the same algorithm choice. Communicators spanning more than one host take
-// the two-level host-aware path (collective_hier.go); otherwise payloads
-// whose largest block is under the ring threshold (EnvCollRingThreshold)
-// take the latency-optimal gather-to-0 + framed-broadcast tree, larger ones
-// take the bandwidth-optimal ring in which each rank forwards one block per
-// step to its successor.
+// the same algorithm choice. Payloads whose largest block is under the ring
+// threshold (EnvCollRingThreshold) take the latency-optimal gather-to-0 +
+// framed-broadcast tree, larger ones take the bandwidth-optimal ring in which
+// each rank forwards one block per step to its successor.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	defer c.collBegin(perf.CollAllgather)()
 	size := len(c.group)
@@ -162,10 +151,6 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		if s > maxBlock {
 			maxBlock = s
 		}
-	}
-	if c.useHier() {
-		c.env.pv.CollAlgo(perf.CollAllgather, perf.AlgHier)
-		return c.allgatherHier(data, sizes)
 	}
 	if c.useRing(maxBlock) {
 		c.env.pv.CollAlgo(perf.CollAllgather, perf.AlgRing)
@@ -292,15 +277,11 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 // Reduce combines every rank's payload at root with fn, a binary associative
 // operation over encoded payloads. fn receives (accumulated, incoming) and
 // returns the combined payload; it must not retain its arguments. Non-root
-// ranks return nil. Communicators spanning more than one host with
-// contiguous per-host rank blocks route through the two-level host-aware
-// reduce (collective_hier.go); otherwise a binomial tree runs flat.
+// ranks return nil. The combination runs over a binomial tree whose shape
+// depends only on the communicator size and root, so every placement of the
+// ranks on hosts combines in the same order and gives the same bits.
 func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	defer c.collBegin(perf.CollReduce)()
-	if c.useHier() && c.hierInfo().contiguous {
-		c.env.pv.CollAlgo(perf.CollReduce, perf.AlgHier)
-		return c.reduceHier(root, data, fn)
-	}
 	size := len(c.group)
 	if root < 0 || root >= size {
 		return nil, fmt.Errorf("%w: reduce root %d", ErrRank, root)
@@ -334,49 +315,11 @@ func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, er
 }
 
 // Allreduce combines every rank's payload with fn and delivers the result
-// to every rank. fn sees only whole payloads, which pins the algorithm to
-// reduce-to-0 + broadcast; use AllreduceWith with an element size to unlock
-// the bandwidth-optimal ring for large payloads (the typed wrappers
-// AllreduceInts/AllreduceFloats do).
+// to every rank: a binomial-tree Reduce to rank 0, then a binomial-tree
+// broadcast on its own tag. fn has the Reduce contract. Every rank must pass
+// the same payload length, the standard reduction contract.
 func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	return c.AllreduceWith(data, 0, fn)
-}
-
-// AllreduceWith combines every rank's payload with fn and delivers the
-// result to every rank, choosing the algorithm by payload size. elem > 0
-// declares the payload a sequence of elem-byte elements and fn an
-// elementwise, associative, commutative, length-preserving combination that
-// accepts any elem-aligned subrange; that contract is what allows the
-// Rabenseifner path (ring reduce-scatter + ring allgather of chunks) for
-// payloads at or above the ring threshold (EnvCollRingThreshold). elem == 0
-// keeps the whole-payload tree path (reduce-to-0 then broadcast) at every
-// size. Every rank must pass the same payload length — the standard
-// reduction contract — which is also what keeps the size-based selection
-// identical on all ranks.
-//
-// Communicators spanning more than one host route through the two-level
-// host-aware allreduce first (collective_hier.go): always when elem > 0
-// divides the payload (the commutative elementwise contract covers the
-// host regrouping, and large payloads pipeline in MPH_COLL_SEGMENT-byte
-// segments), and for opaque fns only when the hosts form contiguous rank
-// blocks. The flat tree/ring selector applies otherwise, and again inside
-// the hierarchical inter-host phase.
-func (c *Comm) AllreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	defer c.collBegin(perf.CollAllreduce)()
-	if c.useHier() {
-		if elem > 0 && len(data)%elem == 0 {
-			c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgHier)
-			return c.allreduceHier(data, elem, fn)
-		}
-		if c.hierInfo().contiguous {
-			c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgHier)
-			return c.allreduceHier(data, 0, fn)
-		}
-	}
-	if elem > 0 && len(data)%elem == 0 && c.useRing(len(data)) {
-		c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgRing)
-		return c.allreduceRing(data, elem, fn)
-	}
 	c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgTree)
 	acc, err := c.Reduce(0, data, fn)
 	if err != nil {

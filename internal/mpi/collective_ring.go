@@ -6,31 +6,30 @@ import (
 	"strconv"
 )
 
-// Bandwidth-optimal ring collectives and the size-based algorithm selector
-// that routes between them and the latency-optimal trees.
+// The bandwidth-optimal ring Allgather and the size-based selector that
+// routes between it and the latency-optimal tree.
 //
-// The trees (binomial bcast/reduce, gather+bcast allgather, reduce+bcast
-// allreduce) finish in O(log P) rounds but funnel the whole payload through
-// a root: for an allgather of P blocks of n bytes the root touches O(P*n)
-// bytes, the classic root hotspot. The rings trade rounds for bandwidth:
-// P-1 steps in which every rank forwards exactly one block to its successor,
-// so no rank ever touches more than ~2x its share of the data. The crossover
-// is payload-size dependent — small payloads are latency-dominated and want
-// the tree, large payloads are bandwidth-dominated and want the ring — which
-// is the same algorithm-selection shape MPICH-G2 used to make grid-spanning
-// collectives usable (see DESIGN.md "Collective algorithms").
+// The tree Allgather (gather to rank 0, then a framed broadcast) finishes in
+// O(log P) rounds but funnels the whole payload through a root: for P blocks
+// of n bytes the root touches O(P*n) bytes, the classic root hotspot. The
+// ring trades rounds for bandwidth: P-1 steps in which every rank forwards
+// exactly one block to its successor, so no rank ever touches more than ~2x
+// its share of the data. The crossover is payload-size dependent: small
+// payloads are latency-dominated and want the tree, large payloads are
+// bandwidth-dominated and want the ring (see DESIGN.md "Collective
+// algorithms"). Allreduce has no ring: measured on real processes the tree
+// won at every size, so it is the only Allreduce.
 
-// EnvCollRingThreshold is the environment variable holding the tree-to-ring
-// crossover in bytes. A collective whose decision size (largest per-rank
-// block for Allgather, payload length for Allreduce) is at least the
-// threshold takes the ring path. 0 forces the ring everywhere, a negative
-// value disables the rings, unset or unparsable falls back to
+// EnvCollRingThreshold is the environment variable holding the Allgather
+// tree-to-ring crossover in bytes. An Allgather whose largest per-rank block
+// is at least the threshold takes the ring path. 0 forces the ring, a
+// negative value disables it, unset or unparsable falls back to
 // DefaultRingThreshold.
 const EnvCollRingThreshold = "MPH_COLL_RING_THRESHOLD"
 
-// DefaultRingThreshold is the default tree-to-ring crossover in bytes,
-// chosen from the C1 sweep in EXPERIMENTS.md: below ~8 KiB the log-depth
-// trees win on latency, above it the rings win on bandwidth.
+// DefaultRingThreshold is the default Allgather tree-to-ring crossover in
+// bytes, chosen from the C1 sweep in EXPERIMENTS.md: below ~8 KiB the
+// log-depth tree wins on latency, above it the ring wins on bandwidth.
 const DefaultRingThreshold = 8 << 10
 
 // ringThresholdFromEnv parses EnvCollRingThreshold once per Env.
@@ -46,11 +45,10 @@ func ringThresholdFromEnv() int {
 	return n
 }
 
-// useRing is the selector: it reports whether a collective with the given
-// decision size should take the ring path. Every rank of a communicator must
-// reach the same verdict, so callers must feed it a globally agreed size
-// (Allgather exchanges block sizes first; Allreduce requires equal payload
-// lengths on every rank).
+// useRing is the selector: it reports whether an Allgather whose largest
+// block is decisionBytes should take the ring path. Every rank of a
+// communicator must reach the same verdict, so the caller feeds it the
+// globally agreed size from exchangeSizes.
 func (c *Comm) useRing(decisionBytes int) bool {
 	if len(c.group) < 2 {
 		return false
@@ -63,14 +61,12 @@ func (c *Comm) useRing(decisionBytes int) bool {
 }
 
 // tagCollSizes carries the Bruck size exchange that precedes Allgather;
-// the ring tags carry the per-step block traffic of the ring algorithms.
+// tagRingAllgather carries the per-step block traffic of the ring.
 // They live here rather than in the iota block of collective.go so the
 // block's comment about distinct ops keeping distinct tags stays exact.
 const (
 	tagCollSizes = 200 + iota
 	tagRingAllgather
-	tagRingReduceScatter
-	tagRingReduceGather
 )
 
 // exchangeSizes gives every rank the payload length of every other rank
@@ -151,93 +147,4 @@ func (c *Comm) allgatherRing(data []byte, sizes []int) ([][]byte, error) {
 		out[recvIdx] = in
 	}
 	return out, nil
-}
-
-// allreduceRing is the Rabenseifner-style bandwidth-optimal allreduce: a
-// ring reduce-scatter (P-1 steps, each combining one payload chunk) followed
-// by a ring allgather of the reduced chunks. The payload is cut into P
-// chunks on elem-byte element boundaries, so fn only ever sees elem-aligned
-// subranges; per-rank traffic is ~2n(P-1)/P bytes instead of the tree's
-// O(n log P) critical path through the root.
-//
-// fn must be elementwise, associative, and commutative over elem-byte
-// elements, and length-preserving on any aligned subrange; every rank must
-// pass the same payload length (both are the standard MPI_Allreduce
-// contract, which the opaque whole-payload Allreduce cannot assume).
-func (c *Comm) allreduceRing(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	size := len(c.group)
-	n := len(data)
-	elems := n / elem
-
-	// Chunk i covers offs[i]:offs[i+1]; chunks differ by at most one element
-	// and may be empty when P > elems.
-	offs := make([]int, size+1)
-	base, rem := elems/size, elems%size
-	off := 0
-	for i := 0; i < size; i++ {
-		offs[i] = off
-		cnt := base
-		if i < rem {
-			cnt++
-		}
-		off += cnt * elem
-	}
-	offs[size] = n
-
-	acc := make([]byte, n)
-	copy(acc, data)
-	chunk := func(i int) []byte { return acc[offs[i]:offs[i+1]] }
-	mod := func(i int) int { return (i%size + size) % size }
-	next := mod(c.rank + 1)
-	prev := mod(c.rank - 1)
-
-	// Phase 1: ring reduce-scatter. At step s every rank sends chunk
-	// (rank-s) and folds the arriving chunk (rank-s-1) into its accumulator;
-	// after P-1 steps rank r owns the fully reduced chunk (r+1).
-	for step := 0; step < size-1; step++ {
-		sendIdx := mod(c.rank - step)
-		recvIdx := mod(c.rank - step - 1)
-		req := c.irecvCtx(c.cctx, prev, tagRingReduceScatter)
-		if err := c.sendCtx(c.cctx, next, tagRingReduceScatter, chunk(sendIdx), nil); err != nil {
-			return nil, fmt.Errorf("mpi: ring reduce-scatter send: %w", err)
-		}
-		in, _, err := req.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("mpi: ring reduce-scatter recv: %w", err)
-		}
-		mine := chunk(recvIdx)
-		if len(in) != len(mine) {
-			return nil, fmt.Errorf("mpi: ring reduce-scatter: chunk %d is %d bytes, want %d (unequal payload lengths?)", recvIdx, len(in), len(mine))
-		}
-		combined, err := fn(mine, in)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: ring reduce-scatter combine: %w", err)
-		}
-		if len(combined) != len(mine) {
-			return nil, fmt.Errorf("mpi: ring reduce-scatter: fn is not length-preserving (%d -> %d bytes)", len(mine), len(combined))
-		}
-		copy(mine, combined)
-	}
-
-	// Phase 2: ring allgather of the reduced chunks. At step s every rank
-	// forwards chunk (rank+1-s) — complete since phase 1 — and installs the
-	// arriving chunk (rank-s).
-	for step := 0; step < size-1; step++ {
-		sendIdx := mod(c.rank + 1 - step)
-		recvIdx := mod(c.rank - step)
-		req := c.irecvCtx(c.cctx, prev, tagRingReduceGather)
-		if err := c.sendCtx(c.cctx, next, tagRingReduceGather, chunk(sendIdx), nil); err != nil {
-			return nil, fmt.Errorf("mpi: ring allreduce gather send: %w", err)
-		}
-		in, _, err := req.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("mpi: ring allreduce gather recv: %w", err)
-		}
-		mine := chunk(recvIdx)
-		if len(in) != len(mine) {
-			return nil, fmt.Errorf("mpi: ring allreduce gather: chunk %d is %d bytes, want %d", recvIdx, len(in), len(mine))
-		}
-		copy(mine, in)
-	}
-	return acc, nil
 }

@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -282,4 +283,58 @@ func TestBcastIntsFloatsString(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestAllreducePlacementIndependent pins that a reduction's bits do not
+// depend on where the ranks run. Floating-point addition is not
+// associative, so {1e16, 1, -1e16, 1} sums to a different value under a
+// different combination order; the flat binomial tree fixes that order by
+// communicator rank alone, so every host placement must agree bit for bit.
+func TestAllreducePlacementIndependent(t *testing.T) {
+	inputs := []float64{1e16, 1, -1e16, 1}
+	placements := []struct {
+		name  string
+		hosts []string
+	}{
+		{"no-hosts", nil},
+		{"one-host", []string{"hA", "hA", "hA", "hA"}},
+		{"cyclic-2x2", []string{"hA", "hB", "hA", "hB"}},
+		{"block-2+2", []string{"hA", "hA", "hB", "hB"}},
+	}
+	bits := make(map[string]uint64)
+	for _, p := range placements {
+		w, err := mpi.NewWorld(len(inputs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.hosts != nil {
+			w.SetHosts(p.hosts)
+		}
+		got := make([]uint64, len(inputs))
+		err = w.Run(func(c *mpi.Comm) error {
+			out, err := c.AllreduceFloats([]float64{inputs[c.Rank()]}, mpi.OpSum)
+			if err != nil {
+				return err
+			}
+			got[c.Rank()] = math.Float64bits(out[0])
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for r, b := range got {
+			if b != got[0] {
+				t.Errorf("%s: rank %d got %g, rank 0 got %g", p.name, r,
+					math.Float64frombits(b), math.Float64frombits(got[0]))
+			}
+		}
+		bits[p.name] = got[0]
+	}
+	for _, p := range placements {
+		if bits[p.name] != bits["no-hosts"] {
+			t.Errorf("%s sums to %g, no-hosts to %g", p.name,
+				math.Float64frombits(bits[p.name]), math.Float64frombits(bits["no-hosts"]))
+		}
+	}
 }

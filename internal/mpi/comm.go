@@ -24,17 +24,6 @@ type Comm struct {
 	rank  int    // this rank within the communicator
 	group []int  // communicator rank -> world rank
 	seq   uint64 // per-comm derivation counter, advanced in lockstep by collective creation ops
-
-	// Hierarchical-collective state (collective_hier.go). hier caches the
-	// host topology and, once built, the intra-host/leader sub-communicator
-	// pair; hierKnown marks the verdict (hier stays nil when the comm cannot
-	// route hierarchically). noHier pins the sub-communicators themselves to
-	// the flat algorithms; hierBuilding flags the collective calls issued
-	// while building the pair, which must also stay flat on every rank.
-	hier         *hierComm
-	hierKnown    bool
-	noHier       bool
-	hierBuilding bool
 }
 
 // WorldComm returns the world communicator of an environment. It is how a

@@ -19,7 +19,7 @@ var envBoolWarned sync.Map
 // documented numeric semantics: positive enables, zero or negative disables.
 // Unset returns def; anything else warns once per variable on stderr and
 // returns def, so a typo degrades to the default loudly instead of silently
-// flipping the knob (the MPH_COLL_HIER=off bug this replaces).
+// flipping the knob (a bare "off" once parsed as enabled).
 func EnvBool(name string, def bool) bool {
 	raw, ok := os.LookupEnv(name)
 	if !ok {

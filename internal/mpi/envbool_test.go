@@ -52,20 +52,3 @@ func TestEnvBoolUnset(t *testing.T) {
 		t.Errorf("unset variable must return the default (false)")
 	}
 }
-
-// TestEnvBoolHier pins the MPH_COLL_HIER regression: "off"/"false"/"no" must
-// actually disable the hierarchical router (they used to parse as enabled).
-func TestEnvBoolHier(t *testing.T) {
-	for _, v := range []string{"off", "false", "no", "0"} {
-		t.Setenv(EnvCollHier, v)
-		if hierFromEnv() {
-			t.Errorf("MPH_COLL_HIER=%q must disable the hierarchical router", v)
-		}
-	}
-	for _, v := range []string{"on", "true", "1", "yes"} {
-		t.Setenv(EnvCollHier, v)
-		if !hierFromEnv() {
-			t.Errorf("MPH_COLL_HIER=%q must enable the hierarchical router", v)
-		}
-	}
-}

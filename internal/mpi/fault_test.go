@@ -159,12 +159,21 @@ func TestFaultWorldAbort(t *testing.T) {
 	}
 }
 
+// enterRingAllgather enters the ring Allgather with 8 KiB blocks on every
+// rank of a 4-rank world. It calls the ring directly, with the size vector
+// every rank would have agreed on: the public Allgather first runs the size
+// exchange, which would stall on an absent rank before the ring starts.
+func enterRingAllgather(c *Comm) error {
+	const block = 8 << 10
+	_, err := c.allgatherRing(make([]byte, block), []int{block, block, block, block})
+	return err
+}
+
 // TestChaosAbortDuringRingCollective aborts a 4-rank world while the other
-// three ranks sit mid-ring inside a forced-ring Allreduce (each blocked on a
-// reduce-scatter step); every one of them must return a typed abort error
-// instead of hanging — the same contract the binomial trees honour.
+// three ranks sit mid-ring inside the ring Allgather (each blocked on a ring
+// step); every one of them must return a typed abort error instead of
+// hanging — the same contract the binomial trees honour.
 func TestChaosAbortDuringRingCollective(t *testing.T) {
-	t.Setenv(EnvCollRingThreshold, "0")
 	w, err := NewWorld(4)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +184,7 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 	for r := 1; r < 4; r++ {
 		c, _ := w.Comm(r)
 		go func(c *Comm) {
-			_, err := c.AllreduceFloats(make([]float64, 1024), OpSum)
-			results <- err
+			results <- enterRingAllgather(c)
 		}(c)
 	}
 	time.Sleep(20 * time.Millisecond) // let the ring stall on absent rank 0
@@ -188,7 +196,7 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 		select {
 		case err := <-results:
 			if !errors.Is(err, ErrAborted) {
-				t.Fatalf("ring allreduce returned %v, want ErrAborted", err)
+				t.Fatalf("ring allgather returned %v, want ErrAborted", err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("abort left a rank blocked mid-ring")
@@ -197,14 +205,13 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 }
 
 // TestChaosPeerLostMidRing injects the failure detector's verdict while
-// survivors sit mid-ring: rank 0 never enters the forced-ring Allreduce, so
-// its ring successor blocks on a receive only rank 0 could satisfy. Declaring
+// survivors sit mid-ring: rank 0 never enters the ring Allgather, so its
+// ring successor blocks on a receive only rank 0 could satisfy. Declaring
 // rank 0 dead must fail that receive with *ErrPeerLost; the observing rank
 // escalates to Abort exactly as the MPH handshake does, which unblocks the
 // remaining survivors with the typed abort error. Every survivor must end
 // with one of the two typed failures — zero hangs.
 func TestChaosPeerLostMidRing(t *testing.T) {
-	t.Setenv(EnvCollRingThreshold, "0")
 	w, err := NewWorld(4)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +226,7 @@ func TestChaosPeerLostMidRing(t *testing.T) {
 	for r := 1; r < 4; r++ {
 		c, _ := w.Comm(r)
 		go func(c *Comm) {
-			_, err := c.AllreduceFloats(make([]float64, 1024), OpSum)
+			err := enterRingAllgather(c)
 			if _, lost := IsPeerLost(err); lost {
 				c.Abort(3) // escalate collective peer-loss, like core.handshake
 			}
@@ -238,7 +245,7 @@ func TestChaosPeerLostMidRing(t *testing.T) {
 		select {
 		case o := <-results:
 			if o.err == nil {
-				t.Fatalf("rank %d: ring allreduce succeeded without rank 0", o.rank)
+				t.Fatalf("rank %d: ring allgather succeeded without rank 0", o.rank)
 			}
 			if rank, lost := IsPeerLost(o.err); lost {
 				sawPeerLost = true

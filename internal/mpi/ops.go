@@ -37,8 +37,7 @@ func (op Op) String() string {
 // The combine closures work directly on the 8-byte little-endian wire form
 // and write the result into the incoming side's storage: reductions run once
 // per received message, so a decode/combine/encode round trip here is the
-// dominant allocation source of every typed reduction (and of the ring
-// allreduce, which combines one chunk per ring step). The result must not be
+// dominant allocation source of every typed reduction. The result must not be
 // written into the accumulator argument — Scan feeds the same accumulated
 // slice to two consecutive combines.
 
@@ -124,10 +123,9 @@ func (c *Comm) ReduceFloats(root int, xs []float64, op Op) ([]float64, error) {
 }
 
 // AllreduceFloats combines xs elementwise across ranks and returns the
-// result at every rank. The 8-byte element encoding lets the size-based
-// selector use the ring algorithm for large slices.
+// result at every rank.
 func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
-	out, err := c.AllreduceWith(encodeFloats(xs), 8, combineFloats(op))
+	out, err := c.Allreduce(encodeFloats(xs), combineFloats(op))
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +143,9 @@ func (c *Comm) ReduceInts(root int, xs []int64, op Op) ([]int64, error) {
 }
 
 // AllreduceInts combines xs elementwise across ranks and returns the result
-// at every rank. The 8-byte element encoding lets the size-based selector
-// use the ring algorithm for large slices.
+// at every rank.
 func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
-	out, err := c.AllreduceWith(encodeInts(xs), 8, combineInts(op))
+	out, err := c.Allreduce(encodeInts(xs), combineInts(op))
 	if err != nil {
 		return nil, err
 	}

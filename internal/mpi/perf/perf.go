@@ -105,19 +105,14 @@ type CollAlg uint8
 
 // Algorithm families tracked per collective op. Tree covers the
 // latency-optimal binomial-tree/gather+bcast shapes; Ring covers the
-// bandwidth-optimal ring (allgather) and reduce-scatter+ring (allreduce)
-// shapes; Hier covers the two-level host-aware shape (intra-host phase,
-// one leader per host for the inter-host phase, local fan-out — DESIGN.md
-// "Hierarchical collectives"). A Hier invocation runs flat collectives on
-// its sub-communicators, so Hier selections also increment Tree/Ring.
+// bandwidth-optimal ring Allgather.
 const (
 	AlgTree CollAlg = iota
 	AlgRing
-	AlgHier
 	NumCollAlgs // count sentinel, not an algorithm
 )
 
-var collAlgNames = [NumCollAlgs]string{"tree", "ring", "hier"}
+var collAlgNames = [NumCollAlgs]string{"tree", "ring"}
 
 // String names the algorithm family for summaries.
 func (a CollAlg) String() string {
@@ -154,34 +149,6 @@ func PhaseName(id int64) string {
 		return n
 	}
 	return "handshake:unknown"
-}
-
-// CollPhase identifies one phase of a hierarchical (two-level) collective
-// for trace markers (KCollPhaseBegin/KCollPhaseEnd).
-type CollPhase uint8
-
-// Hierarchical collective phases, in execution order: the intra-host
-// combine on the fast local links, the leader-only inter-host exchange on
-// the slow fabric, and the local fan-out of the result.
-const (
-	CollPhaseIntra  CollPhase = iota + 1 // intra-host gather/combine
-	CollPhaseInter                       // leader-to-leader inter-host exchange
-	CollPhaseFanout                      // leader-to-member result fan-out
-)
-
-var collPhaseNames = map[CollPhase]string{
-	CollPhaseIntra:  "intra",
-	CollPhaseInter:  "inter",
-	CollPhaseFanout: "fanout",
-}
-
-// CollPhaseName names a hierarchical-collective phase id (as carried in
-// trace events).
-func CollPhaseName(id int64) string {
-	if n, ok := collPhaseNames[CollPhase(id)]; ok {
-		return n
-	}
-	return "unknown"
 }
 
 // CollOpName names a collective op id (as carried in trace events).
@@ -303,9 +270,9 @@ type CollSnap struct {
 	Nanos int64  `json:"nanos"`
 	Tree  uint64 `json:"tree,omitempty"`
 	Ring  uint64 `json:"ring,omitempty"`
-	// Hier counts invocations routed to the two-level host-aware algorithm;
-	// its sub-communicator phases select tree/ring again, so Hier overlaps
-	// Tree+Ring rather than partitioning Count with them.
+	// Hier is always zero: the hierarchical collectives it counted are
+	// gone. The field stays because the e2ebench module reads it to report
+	// mpi.coll_calls.hier.
 	Hier uint64 `json:"hier,omitempty"`
 	// MaxNanos is the slowest single outermost invocation — a rank whose
 	// max dwarfs its peers' was waiting on a straggler (or was one).
@@ -651,8 +618,7 @@ func (r *Rank) Snapshot() Snapshot {
 		count := r.coll[op].count.Load()
 		tree := r.collAlg[op][AlgTree].Load()
 		ring := r.collAlg[op][AlgRing].Load()
-		hier := r.collAlg[op][AlgHier].Load()
-		if count == 0 && tree == 0 && ring == 0 && hier == 0 {
+		if count == 0 && tree == 0 && ring == 0 {
 			continue
 		}
 		if s.Collectives == nil {
@@ -663,7 +629,6 @@ func (r *Rank) Snapshot() Snapshot {
 			Nanos:    r.coll[op].ns.Load(),
 			Tree:     tree,
 			Ring:     ring,
-			Hier:     hier,
 			MaxNanos: r.coll[op].maxNS.Load(),
 		}
 		if count > 0 {

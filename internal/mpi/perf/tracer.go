@@ -31,8 +31,6 @@ type Kind uint8
 //	KPeerLost:   A=lost world rank
 //	KAbort:      A=abort code, B=origin world rank (-1 launcher)
 //	KRendezvous: A=destination world rank, B=tag, C=payload bytes, D=rendezvous id
-//	KCollPhaseBegin: A=CollOp, B=CollPhase, C=segment index, D=segment bytes
-//	KCollPhaseEnd:   A=CollOp, B=CollPhase, C=segment index
 //	KShmChannel: A=peer world rank, B=1 channel established / 0 fell back to TCP
 //
 // The per-message hot-path kinds — KSend, KRecvPost, KMatch — are subject to
@@ -52,8 +50,6 @@ const (
 	KPeerLost
 	KAbort
 	KRendezvous
-	KCollPhaseBegin
-	KCollPhaseEnd
 	KShmChannel
 	numKinds
 )
@@ -61,8 +57,7 @@ const (
 var kindNames = [numKinds]string{
 	"send", "recv-post", "match", "coll-enter", "coll-exit",
 	"comm-split", "comm-dup", "comm-join", "phase-begin", "phase-end",
-	"dial-retry", "peer-lost", "abort", "rendezvous",
-	"coll-phase-begin", "coll-phase-end", "shm-channel",
+	"dial-retry", "peer-lost", "abort", "rendezvous", "shm-channel",
 }
 
 // String names the event kind as it appears in trace dumps.

@@ -122,12 +122,15 @@ var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 // pinned to the default, which made every eager frame of a job that raised
 // MPH_EAGER_THRESHOLD above 64 KiB miss the pool and allocate per send),
 // bounded by maxPooledFrameCeiling; rendezvous-disabled jobs can still push
-// arbitrarily large eager frames, and those are dropped here.
-func putFrame(fb *frameBuf, maxCap int) {
-	if cap(fb.b) > maxCap {
+// arbitrarily large eager frames, and those are dropped here. It reports
+// whether it dropped the buffer.
+func putFrame(fb *frameBuf, maxCap int) (dropped bool) {
+	dropped = cap(fb.b) > maxCap
+	if dropped {
 		fb.b = nil
 	}
 	framePool.Put(fb)
+	return dropped
 }
 
 // DialTimeout is the default total budget for rendezvous registration and
@@ -164,6 +167,7 @@ type Transport struct {
 
 	mu      sync.Mutex
 	out     map[int]*outConn
+	dialing map[int]chan struct{} // destinations with a dial in flight; closed when it ends
 	inbound []net.Conn
 	dead    map[int]error       // world rank -> cause, per failure-detector verdict
 	suspect map[int]*time.Timer // pending peer-death suspicions, cancelable by reconnect
@@ -211,6 +215,11 @@ type Transport struct {
 	// its own wire path with atomics (the syscall dominates the cost).
 	sentMsgs  []atomic.Uint64
 	sentBytes []atomic.Uint64
+
+	// oversizeFrames counts send frames putFrame dropped for exceeding the
+	// pool cap. Unlike the pool's hit rate it does not depend on the race
+	// detector, which makes sync.Pool discard items at random.
+	oversizeFrames atomic.Uint64
 
 	// net points at the rank's perf counters once the Env exists; frames
 	// read before then (none in practice: peers dial after rendezvous)
@@ -356,6 +365,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		sess:       sess,
 		faults:     faults,
 		out:        make(map[int]*outConn),
+		dialing:    make(map[int]chan struct{}),
 		dead:       make(map[int]error),
 		suspect:    make(map[int]*time.Timer),
 		stop:       make(chan struct{}),
@@ -514,7 +524,9 @@ func (t *Transport) Deliver(dst int, p *mpi.Packet) error {
 		nc.FramesOut.Add(1)
 		nc.BytesOut.Add(uint64(len(fb.b)))
 	}
-	putFrame(fb, t.cfg.maxPooledFrame)
+	if putFrame(fb, t.cfg.maxPooledFrame) {
+		t.oversizeFrames.Add(1)
+	}
 	if err != nil && ackID != 0 {
 		// The packet never left, so no ack will come back; drop the
 		// registration rather than stranding it until Close.
@@ -757,24 +769,50 @@ func (t *Transport) Close() error {
 }
 
 // outbound returns (dialing with retry if necessary) the connection for
-// sends to dst. A dial that exhausts its retry budget declares the peer
-// dead.
+// sends to dst. Dials are single-flight per destination: a caller that finds
+// a dial to dst in progress waits for it and uses its connection, so a first
+// send racing the shm offer that answers a peer's hello never opens a second
+// connection. A dial that exhausts its retry budget declares the peer dead.
 func (t *Transport) outbound(dst int) (*outConn, error) {
-	t.mu.Lock()
-	if t.closed {
+	for {
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
+			return nil, mpi.ErrClosed
+		}
+		if cause, dead := t.dead[dst]; dead {
+			t.mu.Unlock()
+			return nil, &mpi.ErrPeerLost{Rank: dst, Cause: cause}
+		}
+		if oc, ok := t.out[dst]; ok {
+			t.mu.Unlock()
+			return oc, nil
+		}
+		if done, ok := t.dialing[dst]; ok {
+			t.mu.Unlock()
+			select {
+			case <-done:
+			case <-t.stop:
+				return nil, mpi.ErrClosed
+			}
+			continue // the dial installed a connection or recorded a verdict
+		}
+		done := make(chan struct{})
+		t.dialing[dst] = done
 		t.mu.Unlock()
-		return nil, mpi.ErrClosed
-	}
-	if cause, dead := t.dead[dst]; dead {
-		t.mu.Unlock()
-		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: cause}
-	}
-	if oc, ok := t.out[dst]; ok {
-		t.mu.Unlock()
-		return oc, nil
-	}
-	t.mu.Unlock()
 
+		oc, err := t.dialOut(dst)
+		t.mu.Lock()
+		delete(t.dialing, dst)
+		t.mu.Unlock()
+		close(done)
+		return oc, err
+	}
+}
+
+// dialOut dials dst, introduces this rank with a hello and installs the
+// connection. Only the goroutine holding dst's dialing slot calls it.
+func (t *Transport) dialOut(dst int) (*outConn, error) {
 	conn, err := t.dial(dst)
 	if err != nil {
 		if errors.Is(err, mpi.ErrClosed) {
@@ -799,27 +837,25 @@ func (t *Transport) outbound(dst int) (*outConn, error) {
 		conn.Close()
 		return nil, mpi.ErrClosed
 	}
-	if oc, ok := t.out[dst]; ok { // lost a dial race; keep the first
-		conn.Close()
-		return oc, nil
-	}
 	oc := &outConn{conn: conn, lastWrite: time.Now()}
 	t.out[dst] = oc
-	// Counted once installed: a connection that lost a dial race never
-	// carried traffic, while every redial after a loss lands here again.
-	t.netCounters().Dials.Add(1)
 	return oc, nil
 }
 
 // dial establishes one connection to dst with the transport's retry budget,
-// counting retries and tracing them.
+// counting retries and tracing them. Every connection it returns counts in
+// Dials, so a dial whose connection went unused would show there.
 func (t *Transport) dial(dst int) (net.Conn, error) {
-	return dialRetry(t.addrs[dst], t.cfg, t.stop, func(attempt int, wait time.Duration) {
+	conn, err := dialRetry(t.addrs[dst], t.cfg, t.stop, func(attempt int, wait time.Duration) {
 		t.netCounters().DialRetries.Add(1)
 		if tr := t.tracer(); tr != nil {
 			tr.Record(perf.KDialRetry, int64(dst), int64(attempt), int64(wait), 0)
 		}
 	})
+	if err == nil {
+		t.netCounters().Dials.Add(1)
+	}
+	return conn, err
 }
 
 // dialRetry dials addr until it succeeds or the cfg.dialTimeout budget is

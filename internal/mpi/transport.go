@@ -70,18 +70,11 @@ type Env struct {
 	// type assertion.
 	borrower payloadBorrower
 
-	// ringThreshold is the tree-to-ring collective crossover in bytes,
-	// parsed once from EnvCollRingThreshold (negative = rings disabled).
-	// Every rank of a job must see the same value or collective algorithm
+	// ringThreshold is the Allgather tree-to-ring crossover in bytes,
+	// parsed once from EnvCollRingThreshold (negative = ring disabled).
+	// Every rank of a job must see the same value or Allgather algorithm
 	// choices diverge; the launcher propagates the environment.
 	ringThreshold int
-
-	// hierEnabled gates the two-level host-aware collectives, parsed once
-	// from EnvCollHier; collSegment is the pipelining segment size in bytes,
-	// parsed once from EnvCollSegment (<= 0 disables segmentation). Like
-	// ringThreshold, every rank of a job must see the same values.
-	hierEnabled bool
-	collSegment int
 
 	// hosts maps world rank -> host label, published by the transport once
 	// the rendezvous book is known. Atomic because transports learn the
@@ -102,8 +95,6 @@ func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 		tr:            tr,
 		pv:            perf.NewRank(worldRank, worldSize),
 		ringThreshold: ringThresholdFromEnv(),
-		hierEnabled:   hierFromEnv(),
-		collSegment:   segmentFromEnv(),
 	}
 	if b, ok := tr.(payloadBorrower); ok {
 		e.borrower = b

@@ -20,12 +20,7 @@
 # end without an sshd. The telemetry smoke reruns that job with live
 # reporting on and scrapes the launcher's Prometheus /metrics endpoint
 # mid-run (scripts/httpget, so no curl dependency), then asserts the final
-# summary reconciles sent == received job-wide. The hierarchical smoke reruns
-# the two-host job with the two-level host-aware collectives forced on
-# (MPH_COLL_HIER=1) and asserts both that the totals still reconcile and that
-# the routing line counts at least one hierarchical selection — proof the
-# hier path actually ran across the host boundary, not just that it parsed.
-# The shm smoke places all five ranks on ONE host with rendezvous forced
+# summary reconciles sent == received job-wide. The shm smoke places all five ranks on ONE host with rendezvous forced
 # (MPH_EAGER_THRESHOLD=0) and asserts the summary counts at least one
 # intra-host payload frame AND still reconciles — proof the Unix-socket
 # payload channel engaged under a real exec-backend launch and lost nothing.
@@ -82,13 +77,6 @@ EOF
 "$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -placement block -stats \
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in
 grep -q "period" "$smoke/coupler.log"
-
-# Hierarchical-collective smoke: same job, uneven 3+2 placement, hier forced.
-MPH_COLL_HIER=1 "$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend exec -placement block -stats \
-    -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in \
-    > "$smoke/hier.out"
-grep -q "totals reconcile" "$smoke/hier.out"
-grep -Eq "collective routing: .* hier=[1-9]" "$smoke/hier.out"
 
 # Shm-channel smoke: all 5 ranks on one host, rendezvous forced so payloads
 # are eligible for the intra-host channel.
