@@ -11,8 +11,8 @@
 // Without -exp every experiment runs.
 //
 // The binary doubles as its own launch target for the L1 launch-latency and
-// C1 collective sweeps: invoked as "mphbench agent-exec ..." it is the
-// per-rank agent of the exec/ssh backends, and with MPH_BENCH_WORKER=1 in
+// C1 collective sweeps: invoked as "mphbench agent" it is the per-host
+// agent of the exec backend, and with MPH_BENCH_WORKER=1 in
 // the environment it is a rank that joins the rendezvous, runs the C1 cell
 // its arguments name (if any), and exits.
 package main
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -38,8 +39,9 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		mpirun.ServeStdio()
+		return
 	}
 	if os.Getenv("MPH_BENCH_WORKER") == "1" {
 		os.Exit(benchWorker())
@@ -421,15 +423,7 @@ func p1(repeat int) error {
 		TeleOverhead float64 `json:"telemetry_on_overhead_pct"`
 	}{"P1", pending, iters, repeat, perf.DefaultTraceSample, off, on, onFull,
 		teleOn, teleInterval.Milliseconds(), overhead, fullOverhead, teleOverhead}
-	data, err := json.MarshalIndent(&baseline, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchPerfPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("baseline written to %s\n", benchPerfPath)
-	return nil
+	return writeBench(benchPerfPath, "baseline", &baseline)
 }
 
 // benchTransportPath is where p2 writes its JSON sweep (-transportout).
@@ -529,15 +523,7 @@ func p2(repeat int) error {
 		DefaultThreshold int    `json:"default_threshold_bytes"`
 		Rows             []row  `json:"rows"`
 	}{"P2", repeat, tcpnet.DefaultEagerThreshold, rows}
-	data, err := json.MarshalIndent(&sweep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchTransportPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep written to %s\n", benchTransportPath)
-	return nil
+	return writeBench(benchTransportPath, "sweep", &sweep)
 }
 
 // tcpPair boots a rendezvous server plus two TCP endpoints over loopback
@@ -698,15 +684,7 @@ func c1(repeat int) error {
 	fmt.Print(c1Table(rows))
 
 	sweep := collSweep{"C1", repeat, runtime.Version(), runtime.NumCPU(), mpi.DefaultRingThreshold, rows}
-	data, err := json.MarshalIndent(&sweep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchCollPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep written to %s\n", benchCollPath)
-	return nil
+	return writeBench(benchCollPath, "sweep", &sweep)
 }
 
 // c1Header is the header row of the C1 table in EXPERIMENTS.md.
@@ -816,14 +794,36 @@ func collCell(c *mpi.Comm, args []string) error {
 // benchLaunchPath is where l1 writes its JSON sweep (-launchout).
 var benchLaunchPath string
 
+// l1Ranks is the L1 gang-size axis.
+var l1Ranks = []int{1, 2, 4, 8, 16}
+
+// launchRow is one L1 cell: the best launch time of one backend at one
+// gang size.
+type launchRow struct {
+	Backend  string `json:"backend"`
+	Ranks    int    `json:"ranks"`
+	LaunchNs int64  `json:"launch_ns"`
+}
+
+// launchSweep is the BENCH_launch.json document.
+type launchSweep struct {
+	Experiment string      `json:"experiment"`
+	Repeat     int         `json:"repeat"`
+	Commit     string      `json:"commit"`
+	GoVersion  string      `json:"go_version"`
+	CPUs       int         `json:"cpus"`
+	Rows       []launchRow `json:"rows"`
+}
+
 // l1 measures gang-launch latency — mpirun.Launch of n empty ranks through
 // to every rank registered, run, and reaped — for each spawner on one host.
-// The local and exec backends pay one fork/exec per rank (exec pays two:
-// agent plus worker), so their cost grows linearly with n; the daemon
-// backend sends the whole gang as a single SpawnBlock request over one warm
-// TCP connection to a persistent mphd, which is what makes sub-second
-// launch hold as n grows. The daemon here is in-process (the -daemon-addr
-// override), which is the same wire protocol a deployed mphd speaks.
+// The local backend forks each worker itself; the exec backend starts one
+// agent process for the host block, which forks the workers; the daemon
+// backend sends the same block session over a warm TCP connection to an
+// mphd that is already running, so it starts no agent. The daemon here is
+// in-process (the -daemon-addr override), which is the same session a
+// deployed mphd serves. It prints the EXPERIMENTS.md table and writes the
+// cells to BENCH_launch.json.
 func l1(repeat int) error {
 	fmt.Println("L1: gang-launch latency by backend (empty ranks, one host)")
 	self, err := os.Executable()
@@ -846,15 +846,8 @@ func l1(repeat int) error {
 		{"daemon", mpirun.NewDaemonSpawner(d.Addr(), 0)},
 	}
 
-	type row struct {
-		Backend  string `json:"backend"`
-		Ranks    int    `json:"ranks"`
-		LaunchNs int64  `json:"launch_ns"`
-	}
-	var rows []row
-	fmt.Printf("%-8s %12s %12s %12s %10s\n", "ranks", "local", "exec", "daemon", "exec/dmn")
-	for _, ranks := range []int{1, 2, 4, 8, 16} {
-		cells := map[string]time.Duration{}
+	var rows []launchRow
+	for _, ranks := range l1Ranks {
 		for _, b := range backends {
 			dur, err := timeIt(repeat, func() error {
 				spec, err := mpirun.NewLaunchSpec(
@@ -871,28 +864,69 @@ func l1(repeat int) error {
 			if err != nil {
 				return fmt.Errorf("%s backend, %d ranks: %w", b.name, ranks, err)
 			}
-			cells[b.name] = dur
-			rows = append(rows, row{b.name, ranks, dur.Nanoseconds()})
+			rows = append(rows, launchRow{b.name, ranks, dur.Nanoseconds()})
 		}
-		fmt.Printf("%-8d %12v %12v %12v %10.2f\n", ranks,
-			cells["local"], cells["exec"], cells["daemon"],
-			float64(cells["exec"])/float64(cells["daemon"]))
 	}
+	fmt.Print(l1Table(rows))
 
-	sweep := struct {
-		Experiment string `json:"experiment"`
-		Repeat     int    `json:"repeat"`
-		Rows       []row  `json:"rows"`
-	}{"L1", repeat, rows}
-	data, err := json.MarshalIndent(&sweep, "", "  ")
+	sweep := launchSweep{"L1", repeat, gitCommit(), runtime.Version(), runtime.NumCPU(), rows}
+	return writeBench(benchLaunchPath, "sweep", &sweep)
+}
+
+// writeBench writes one BENCH_*.json document (what names it for the
+// confirmation line: "sweep" or "baseline").
+func writeBench(path, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(benchLaunchPath, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep written to %s\n", benchLaunchPath)
+	fmt.Printf("%s written to %s\n", what, path)
 	return nil
+}
+
+// l1Header is the header row of the L1 table in EXPERIMENTS.md.
+const l1Header = "| ranks | local | exec | daemon | exec/daemon |"
+
+// l1Table renders the L1 rows as the markdown table EXPERIMENTS.md carries:
+// one line per gang size, times in milliseconds to one decimal, the
+// exec/daemon ratio to two. The drift test in main_test.go holds the
+// document to it.
+func l1Table(rows []launchRow) string {
+	var b strings.Builder
+	b.WriteString(l1Header + "\n|---|---|---|---|---|\n")
+	for _, n := range l1Ranks {
+		ns := map[string]int64{}
+		for _, r := range rows {
+			if r.Ranks == n {
+				ns[r.Backend] = r.LaunchNs
+			}
+		}
+		fmt.Fprintf(&b, "| %d | %s | %s | %s | %.2f |\n", n,
+			millis(ns["local"]), millis(ns["exec"]), millis(ns["daemon"]),
+			float64(ns["exec"])/float64(ns["daemon"]))
+	}
+	return b.String()
+}
+
+// millis formats nanoseconds as milliseconds to one decimal.
+func millis(ns int64) string { return fmt.Sprintf("%.1f ms", float64(ns)/1e6) }
+
+// gitCommit names the source a sweep measured: the HEAD commit, suffixed
+// "+modified" when tracked files differ from it, or "unknown" outside a git
+// work tree.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD", "--").Run() != nil {
+		commit += "+modified"
+	}
+	return commit
 }
 
 func e8(repeat int) error {

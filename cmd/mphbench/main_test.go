@@ -53,14 +53,40 @@ func TestTablesRun(t *testing.T) {
 // the recorded sweep at the precision c1Table prints, so a regenerated JSON
 // without a refreshed table (or a hand-edited table) fails here.
 func TestC1TableMatchesBench(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_coll.json")
+	var sweep collSweep
+	readBench(t, "../../BENCH_coll.json", &sweep)
+	checkTable(t, "C1", c1Header, c1Table(sweep.Rows))
+}
+
+// TestL1TableMatchesBench is the same drift check between the L1 table in
+// EXPERIMENTS.md and BENCH_launch.json, at the precision l1Table prints.
+func TestL1TableMatchesBench(t *testing.T) {
+	var sweep launchSweep
+	readBench(t, "../../BENCH_launch.json", &sweep)
+	if sweep.Commit == "" || sweep.GoVersion == "" || sweep.CPUs == 0 {
+		t.Errorf("BENCH_launch.json is not stamped with commit, go_version and cpus: %q %q %d",
+			sweep.Commit, sweep.GoVersion, sweep.CPUs)
+	}
+	checkTable(t, "L1", l1Header, l1Table(sweep.Rows))
+}
+
+// readBench decodes one BENCH_*.json document into v.
+func readBench(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sweep collSweep
-	if err := json.Unmarshal(raw, &sweep); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
+}
+
+// checkTable finds the table headed header in EXPERIMENTS.md and fails on
+// every cell that differs from table, the formatter's rendering of the
+// recorded sweep.
+func checkTable(t *testing.T, exp, header, table string) {
+	t.Helper()
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +94,7 @@ func TestC1TableMatchesBench(t *testing.T) {
 	var got []string
 	lines := strings.Split(string(doc), "\n")
 	for i, line := range lines {
-		if strings.TrimSpace(line) != c1Header {
+		if strings.TrimSpace(line) != header {
 			continue
 		}
 		for _, l := range lines[i:] {
@@ -80,22 +106,22 @@ func TestC1TableMatchesBench(t *testing.T) {
 		break
 	}
 	if len(got) == 0 {
-		t.Fatalf("EXPERIMENTS.md has no C1 table headed %q", c1Header)
+		t.Fatalf("EXPERIMENTS.md has no %s table headed %q", exp, header)
 	}
-	want := strings.Split(strings.TrimSuffix(c1Table(sweep.Rows), "\n"), "\n")
+	want := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
 	if len(got) != len(want) {
-		t.Fatalf("C1 table has %d lines, BENCH_coll.json gives %d:\n%s", len(got), len(want), strings.Join(want, "\n"))
+		t.Fatalf("%s table has %d lines, the JSON gives %d:\n%s", exp, len(got), len(want), strings.Join(want, "\n"))
 	}
 	for i := range want {
 		gc, wc := tableCells(got[i]), tableCells(want[i])
 		if len(gc) != len(wc) {
-			t.Errorf("C1 table line %d has %d cells, want %d: %q", i+1, len(gc), len(wc), got[i])
+			t.Errorf("%s table line %d has %d cells, want %d: %q", exp, i+1, len(gc), len(wc), got[i])
 			continue
 		}
 		for j := range wc {
 			if gc[j] != wc[j] {
-				t.Errorf("C1 table %s, column %q: document says %q, BENCH_coll.json gives %q",
-					gc[0], tableCells(want[0])[j], gc[j], wc[j])
+				t.Errorf("%s table %s, column %q: document says %q, the JSON gives %q",
+					exp, gc[0], tableCells(want[0])[j], gc[j], wc[j])
 			}
 		}
 	}

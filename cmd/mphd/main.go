@@ -3,18 +3,19 @@
 // One mphd runs on every compute host; mphrun with -backend daemon opens a
 // single warm TCP connection per host and ships the host's whole rank block
 // in one SpawnBlock request, so gang launch costs one round trip per host
-// instead of one ssh/fork cold start per rank.
+// and no agent process creation at all.
 //
 // Usage:
 //
 //	mphd [-listen 0.0.0.0:7601]
 //
-// The daemon forks each block's ranks as process-group children, streams
-// their output and exit events back over the spawning connection, and kills
-// everything a connection spawned the moment that connection drops: a rank
-// never outlives its launcher, exactly as with the per-rank agent. Kill
-// requests (the launcher's grace-expiry teardown) arrive over the same
-// connection.
+// Each connection is one host-agent session — the same session the exec
+// and ssh backends run over the stdio of a per-host "mphrun agent"
+// process. The daemon forks the block's ranks as process-group children,
+// streams their output and exit events back over the connection, and kills
+// everything the connection spawned the moment it drops: a rank never
+// outlives its launcher. Kill requests (the launcher's grace-expiry
+// teardown) arrive over the same connection.
 //
 // mphd keeps no job state across connections — restarting it is always
 // safe, and launchers retry their dial, so a supervisor respawn mid-fleet

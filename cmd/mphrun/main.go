@@ -28,16 +28,19 @@
 //
 // A hostfile (-hostfile, one "host [slots=N]" per line) or inline host list
 // (-hosts node-a:2,node-b) places unpinned ranks across hosts under a
-// -placement policy (block or cyclic); host= pins override the policy. Ranks
-// on other hosts are spawned through the mphrun agent ("mphrun agent-exec",
-// run via ssh by default, or locally with -backend exec for single-machine
-// testing of the multi-host path). See OPERATIONS.md for the full story.
+// -placement policy (block or cyclic); host= pins override the policy. Each
+// host's ranks are spawned by one agent per host: "mphrun agent", run via
+// ssh by default or locally with -backend exec (single-machine testing of
+// the multi-host path), which takes the host's whole rank block as one
+// spawn session on its stdin and streams output and exits back on its
+// stdout — the same session a persistent mphd serves over TCP with
+// -backend daemon. See OPERATIONS.md for the full story.
 //
 // When a rank exits abnormally mid-job, mphrun sends a launcher abort down
 // the control session of every surviving rank on every host (their blocked
 // MPI calls return mpi.ErrAborted), waits -grace for them to exit on their
-// own, kills the remaining process groups — through the agents for remote
-// ranks — and reports the failures grouped per component executable.
+// own, kills the remaining process groups — through the host agents for
+// remote ranks — and reports the failures grouped per component executable.
 // Exit status: 0 success, 1 job or launcher failure, 2 usage error.
 package main
 
@@ -69,10 +72,12 @@ func (o *sshOpts) Set(v string) error {
 }
 
 func main() {
-	// The agent subcommand must bypass the launcher flag set: its arguments
-	// belong to agent-exec, and it must never recurse into launching.
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	// The agent subcommand bypasses the launcher flag set: its stdin and
+	// stdout carry one host block's spawn session, and it must never
+	// recurse into launching.
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		mpirun.ServeStdio()
+		return
 	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -22,14 +22,26 @@ import (
 	"mph/internal/mpirun"
 )
 
-// TestMain doubles as the MPMD worker and the remote agent: when mphrun
+// TestMain doubles as the MPMD worker and the host agent: when mphrun
 // (driven by the tests below) spawns this test binary with MPH_TEST_WORKER
 // set it behaves as one executable of a multi-component job, and when it is
-// invoked as "agent-exec" it runs the launcher's agent protocol — which is
-// how the exec-backend tests cover the remote spawn path without an sshd.
+// invoked as "agent" it serves the host-agent session on its stdio — which
+// is how the exec- and ssh-backend tests cover the remote spawn path
+// without an sshd. Each agent start appends one line to the file named by
+// MPH_TEST_AGENT_LOG, if set, so tests can count agents per launch.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		if path := os.Getenv("MPH_TEST_AGENT_LOG"); path != "" {
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			fmt.Fprintln(f, os.Getpid())
+			f.Close()
+		}
+		mpirun.ServeStdio()
+		os.Exit(0)
 	}
 	if os.Getenv("MPH_TEST_WORKER") == "1" {
 		os.Exit(worker())
@@ -55,6 +67,8 @@ func TestMain(m *testing.M) {
 //	                       the straggler the telemetry test looks for
 //	MPH_TEST_NO_STATS_DIR  the rank fails if MPH_STATS_DIR is set, proving
 //	                       a -stats run needs no stats directory
+//	MPH_TEST_RAW_LINE      the last rank writes the line "\xff\xfe" (not
+//	                       UTF-8) to stdout, for the relay tests
 func worker() int {
 	if os.Getenv("MPH_TEST_NO_STATS_DIR") == "1" && os.Getenv(perf.EnvStatsDir) != "" {
 		fmt.Fprintf(os.Stderr, "worker: %s is set\n", perf.EnvStatsDir)
@@ -111,6 +125,9 @@ func worker() int {
 			return 1
 		}
 		fmt.Println("beta received the message")
+		if os.Getenv("MPH_TEST_RAW_LINE") == "1" {
+			os.Stdout.Write([]byte("\xff\xfe\n"))
+		}
 	}
 	if hold := os.Getenv("MPH_TEST_HOLD"); hold != "" && world.Rank() == world.Size()-1 {
 		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
@@ -293,11 +310,11 @@ func TestLaunchFailureReport(t *testing.T) {
 }
 
 // TestLaunchMultiHostExec runs a 4-rank job placed on two hosts (2 slots
-// each) through the exec backend: every rank is spawned via the agent-exec
-// protocol exactly as an ssh launch would, minus the ssh hop. The workers
-// verify the published host topology (HostOf, SplitByHost), the registration
-// file travels by value through the agent, and the stats dumps must still
-// reconcile across the "hosts".
+// each) through the exec backend: each host's ranks are spawned by one
+// agent over the host-agent session exactly as an ssh launch would, minus
+// the ssh hop. The workers verify the published host topology (HostOf,
+// SplitByHost), the registration file travels by value through the agent,
+// and the stats dumps must still reconcile across the "hosts".
 func TestLaunchMultiHostExec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")

@@ -35,8 +35,10 @@ import (
 // Environment variables consulted by the substrate's observability hooks.
 const (
 	// EnvStatsDir, when set, makes every rank write a JSON Snapshot to
-	// <dir>/stats.rank<N>.json when its environment is closed. mphrun
-	// -stats sets it for all children and merges the files.
+	// <dir>/stats.rank<N>.json when its environment is closed, for
+	// hand-launched and in-process runs. mphrun -stats does not use it: it
+	// prints from the final reports the ranks send over their control
+	// sessions.
 	EnvStatsDir = "MPH_STATS_DIR"
 	// EnvTraceDir, when set, enables the event tracer at Env creation and
 	// makes every rank write <dir>/trace.rank<N>.jsonl on close. mphrun

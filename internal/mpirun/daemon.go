@@ -1,16 +1,11 @@
 package mpirun
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"os"
-	"os/exec"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -23,78 +18,9 @@ const DefaultDaemonPort = 7601
 // including reconnect retries against a daemon that is restarting.
 const daemonDialTimeout = 5 * time.Second
 
-// The daemon control protocol is line-JSON over one TCP connection per
-// (launcher, host) pair. The launcher sends daemonRequest lines; the daemon
-// streams daemonEvent lines back over the same connection. One connection
-// carries at most one spawned block, and the block's ranks never outlive
-// the connection: EOF — the launcher died, or the network went with it —
-// kills every process group the connection spawned, mirroring the stdin
-// semantics of the per-rank agent.
-
-// daemonRequest is one launcher→daemon command line.
-type daemonRequest struct {
-	// Op is "ping" (liveness probe), "spawn" (start a block), or "kill".
-	Op string `json:"op"`
-	// Spawn carries the block for op "spawn".
-	Spawn *SpawnBlock `json:"spawn,omitempty"`
-	// Rank selects the rank for op "kill"; negative kills the whole block.
-	Rank int `json:"rank,omitempty"`
-}
-
-// daemonEvent is one daemon→launcher event line.
-type daemonEvent struct {
-	// Event is "pong", "spawned", "line", "exit", or "error".
-	Event string `json:"event"`
-	// Rank is the world rank the event concerns (spawned, line, exit).
-	Rank int `json:"rank,omitempty"`
-	// Pid is the started process id (spawned).
-	Pid int `json:"pid,omitempty"`
-	// Stream is "stdout" or "stderr" (line).
-	Stream string `json:"stream,omitempty"`
-	// Text is one output line without its newline (line).
-	Text string `json:"text,omitempty"`
-	// Code is the exit status (exit); 127 means the daemon could not start
-	// the rank, >128 means it died to signal code-128.
-	Code int `json:"code,omitempty"`
-	// Msg carries diagnostics (exit with a start failure, error).
-	Msg string `json:"msg,omitempty"`
-}
-
-// SpawnBlock is the wire form of one host-local rank block: the whole
-// host's share of the job in a single request, so gang launch costs one
-// round trip per host instead of one process creation per rank.
-type SpawnBlock struct {
-	// Size is the world size.
-	Size int `json:"size"`
-	// Rendezvous is the launcher's advertised rendezvous address.
-	Rendezvous string `json:"rendezvous"`
-	// Regdata is the base64 registration-file contents ("" = none); the
-	// daemon materializes it once for the whole block.
-	Regdata string `json:"regdata,omitempty"`
-	// Host is the placement host label the ranks report as MPH_HOST.
-	Host string `json:"host,omitempty"`
-	// Bind is the listener bind host for every rank ("" = loopback).
-	Bind string `json:"bind,omitempty"`
-	// Env entries (KEY=VALUE) are appended to every rank's environment —
-	// the launcher's MPH_* passthrough plus the job's ExtraEnv.
-	Env []string `json:"env,omitempty"`
-	// Ranks are the block's processes.
-	Ranks []SpawnRank `json:"ranks"`
-}
-
-// SpawnRank is one process of a SpawnBlock.
-type SpawnRank struct {
-	// Rank is the world rank.
-	Rank int `json:"rank"`
-	// Argv is the command and its arguments.
-	Argv []string `json:"argv"`
-	// Env holds extra KEY=VALUE pairs for this rank only.
-	Env []string `json:"env,omitempty"`
-}
-
-// Daemon is the mphd server: a long-lived per-host agent that spawns whole
-// rank blocks over warm TCP connections, eliminating the per-rank ssh/fork
-// cold-start that makes cold-spawned gang launch linear in rank count.
+// Daemon is the mphd server: a long-lived per-host agent that serves the
+// host-agent session over warm TCP connections, one session per launcher
+// connection, so a launch pays no agent process creation at all.
 type Daemon struct {
 	ln net.Listener
 
@@ -168,8 +94,8 @@ func (d *Daemon) Close() error {
 	return err
 }
 
-// handle runs one launcher connection: requests in, events out, and a
-// guaranteed kill of everything the connection spawned once it drops.
+// handle serves one launcher connection as a host-agent session, then
+// forgets it.
 func (d *Daemon) handle(conn net.Conn) {
 	defer func() {
 		d.mu.Lock()
@@ -177,207 +103,12 @@ func (d *Daemon) handle(conn net.Conn) {
 		d.mu.Unlock()
 		conn.Close()
 	}()
-	job := &daemonJob{enc: json.NewEncoder(conn)}
-	defer job.teardown()
-	r := bufio.NewReader(conn)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return // EOF or torn connection: teardown kills the block
-		}
-		var req daemonRequest
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			job.send(daemonEvent{Event: "error", Msg: fmt.Sprintf("bad request: %v", err)})
-			return
-		}
-		switch req.Op {
-		case "ping":
-			job.send(daemonEvent{Event: "pong"})
-		case "spawn":
-			if req.Spawn == nil {
-				job.send(daemonEvent{Event: "error", Msg: "spawn request without a block"})
-				return
-			}
-			if err := job.start(req.Spawn); err != nil {
-				job.send(daemonEvent{Event: "error", Msg: err.Error()})
-				return
-			}
-		case "kill":
-			job.kill(req.Rank)
-		default:
-			job.send(daemonEvent{Event: "error", Msg: fmt.Sprintf("unknown op %q", req.Op)})
-			return
-		}
-	}
-}
-
-// daemonChild is one rank's process under a daemon job.
-type daemonChild struct {
-	cmd      *exec.Cmd
-	killOnce sync.Once
-}
-
-// daemonJob is the per-connection spawn state: the block's children and the
-// serialized event channel back to the launcher.
-type daemonJob struct {
-	sendMu sync.Mutex
-	enc    *json.Encoder
-
-	mu       sync.Mutex
-	children map[int]*daemonChild
-	spawned  bool
-	cleanup  func()
-	wg       sync.WaitGroup
-}
-
-// send writes one event line; encoder errors are ignored (a dead launcher
-// is handled by the read loop's EOF).
-func (j *daemonJob) send(ev daemonEvent) {
-	j.sendMu.Lock()
-	defer j.sendMu.Unlock()
-	_ = j.enc.Encode(ev)
-}
-
-// start spawns every rank of the block as a process-group child and wires
-// the event streams. At most one block per connection.
-func (j *daemonJob) start(block *SpawnBlock) error {
-	j.mu.Lock()
-	if j.spawned {
-		j.mu.Unlock()
-		return fmt.Errorf("connection already spawned a block")
-	}
-	j.spawned = true
-	j.children = make(map[int]*daemonChild, len(block.Ranks))
-	j.mu.Unlock()
-
-	registration := ""
-	if block.Regdata != "" {
-		path, cleanup, err := materializeRegistration(block.Regdata)
-		if err != nil {
-			return err
-		}
-		registration = path
-		j.mu.Lock()
-		j.cleanup = cleanup
-		j.mu.Unlock()
-	}
-	for _, rk := range block.Ranks {
-		j.startRank(block, rk, registration)
-	}
-	return nil
-}
-
-// startRank spawns one rank; a start failure becomes an exit event with
-// code 127 (the agent convention) instead of failing the whole block.
-func (j *daemonJob) startRank(block *SpawnBlock, rk SpawnRank, registration string) {
-	if len(rk.Argv) == 0 {
-		j.send(daemonEvent{Event: "exit", Rank: rk.Rank, Code: 127, Msg: "no command"})
-		return
-	}
-	env := Env{
-		Rank:         rk.Rank,
-		Size:         block.Size,
-		Rendezvous:   block.Rendezvous,
-		Registration: registration,
-		Host:         block.Host,
-		Bind:         block.Bind,
-	}
-	cmd := exec.Command(rk.Argv[0], rk.Argv[1:]...)
-	cmd.Env = dedupEnv(append(append(append(os.Environ(),
-		env.Environ()...), block.Env...), rk.Env...))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		j.send(daemonEvent{Event: "exit", Rank: rk.Rank, Code: 127, Msg: err.Error()})
-		return
-	}
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		j.send(daemonEvent{Event: "exit", Rank: rk.Rank, Code: 127, Msg: err.Error()})
-		return
-	}
-	setProcGroup(cmd)
-	if err := cmd.Start(); err != nil {
-		j.send(daemonEvent{Event: "exit", Rank: rk.Rank, Code: 127,
-			Msg: fmt.Sprintf("start %q: %v", strings.Join(rk.Argv, " "), err)})
-		return
-	}
-	c := &daemonChild{cmd: cmd}
-	j.mu.Lock()
-	j.children[rk.Rank] = c
-	j.mu.Unlock()
-	j.send(daemonEvent{Event: "spawned", Rank: rk.Rank, Pid: cmd.Process.Pid})
-
-	var pipes sync.WaitGroup
-	pipes.Add(2)
-	go j.streamLines(rk.Rank, "stdout", stdout, &pipes)
-	go j.streamLines(rk.Rank, "stderr", stderr, &pipes)
-	j.wg.Add(1)
-	go func() {
-		defer j.wg.Done()
-		// The pipes EOF when the process group's writers are gone; Wait must
-		// not run (and close them) before the readers drain.
-		pipes.Wait()
-		err := cmd.Wait()
-		j.send(daemonEvent{Event: "exit", Rank: rk.Rank, Code: exitStatus(err)})
-	}()
-}
-
-// streamLines forwards one output pipe as "line" events, chunking oversized
-// lines at the buffer size so a runaway line cannot stall the stream.
-func (j *daemonJob) streamLines(rank int, stream string, r io.Reader, wg *sync.WaitGroup) {
-	defer wg.Done()
-	br := bufio.NewReaderSize(r, 1<<20)
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if len(chunk) > 0 {
-			text := strings.TrimRight(string(chunk), "\r\n")
-			if text != "" || chunk[len(chunk)-1] == '\n' {
-				j.send(daemonEvent{Event: "line", Rank: rank, Stream: stream, Text: text})
-			}
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// kill terminates one rank's process group, or every rank's when rank is
-// negative.
-func (j *daemonJob) kill(rank int) {
-	j.mu.Lock()
-	var targets []*daemonChild
-	if rank < 0 {
-		for _, c := range j.children {
-			targets = append(targets, c)
-		}
-	} else if c, ok := j.children[rank]; ok {
-		targets = append(targets, c)
-	}
-	j.mu.Unlock()
-	for _, c := range targets {
-		c.killOnce.Do(func() { killTree(c.cmd) })
-	}
-}
-
-// teardown kills the block, waits for every exit event to flush, and
-// removes the materialized registration file.
-func (j *daemonJob) teardown() {
-	j.kill(-1)
-	j.wg.Wait()
-	j.mu.Lock()
-	cleanup := j.cleanup
-	j.mu.Unlock()
-	if cleanup != nil {
-		cleanup()
-	}
+	serveSession(conn, conn)
 }
 
 // DaemonSpawner launches rank blocks through mphd daemons already running
 // on the placement hosts: one warm TCP connection and one SpawnBlock
-// request per host, instead of one cold process creation per rank.
+// request per host, with no agent process to start.
 type DaemonSpawner struct {
 	// Addr, when set, sends every block to this one daemon address
 	// regardless of host label — single-machine testing of the daemon path,
@@ -463,10 +194,10 @@ func (s *DaemonSpawner) ProbeHost(ctx context.Context, host string) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
-	if err := json.NewEncoder(conn).Encode(daemonRequest{Op: "ping"}); err != nil {
+	if err := json.NewEncoder(conn).Encode(sessionRequest{Op: "ping"}); err != nil {
 		return fmt.Errorf("daemon %s: %w", s.hostAddr(host), err)
 	}
-	var ev daemonEvent
+	var ev sessionEvent
 	if err := json.NewDecoder(conn).Decode(&ev); err != nil {
 		return fmt.Errorf("daemon %s: %w", s.hostAddr(host), err)
 	}
@@ -483,128 +214,5 @@ func (s *DaemonSpawner) Spawn(ctx context.Context, host string, block Block) (Ha
 	if err != nil {
 		return nil, err
 	}
-	wire := &SpawnBlock{
-		Size:       block.Size,
-		Rendezvous: block.Rendezvous,
-		Regdata:    block.Regdata,
-		Host:       host,
-		Bind:       block.Bind,
-		Env:        append(append([]string(nil), block.Passthrough...), block.ExtraEnv...),
-	}
-	for _, p := range block.Procs {
-		wire.Ranks = append(wire.Ranks, SpawnRank{Rank: p.Rank, Argv: p.Argv, Env: p.Env})
-	}
-	h := &daemonHandle{
-		conn:  conn,
-		enc:   json.NewEncoder(conn),
-		addr:  s.hostAddr(host),
-		host:  host,
-		block: block,
-		exits: make(chan RankExit, len(block.Procs)),
-		done:  make(chan struct{}),
-		procs: make(map[int]Proc, len(block.Procs)),
-	}
-	for _, p := range block.Procs {
-		h.procs[p.Rank] = p
-	}
-	if err := h.send(daemonRequest{Op: "spawn", Spawn: wire}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("daemon %s: send spawn: %w", h.addr, err)
-	}
-	go h.read()
-	return h, nil
+	return startSession(conn, "daemon "+s.hostAddr(host), host, block, nil)
 }
-
-// daemonHandle supervises one host block over its daemon connection.
-type daemonHandle struct {
-	conn  net.Conn
-	addr  string
-	host  string
-	block Block
-	exits chan RankExit
-	done  chan struct{}
-	procs map[int]Proc
-
-	sendMu sync.Mutex
-	enc    *json.Encoder
-}
-
-// send writes one request line to the daemon.
-func (h *daemonHandle) send(req daemonRequest) error {
-	h.sendMu.Lock()
-	defer h.sendMu.Unlock()
-	return h.enc.Encode(req)
-}
-
-// read consumes the daemon's event stream: output lines are relayed with
-// the standard rank prefix, exits are forwarded, and a dead connection
-// fails every still-pending rank — a daemon crash mid-job must surface as
-// supervised rank failures, not a hang.
-func (h *daemonHandle) read() {
-	defer close(h.done)
-	defer close(h.exits)
-	defer h.conn.Close()
-	pending := make(map[int]bool, len(h.procs))
-	for rank := range h.procs {
-		pending[rank] = true
-	}
-	fail := func(msg string) {
-		for rank := range pending {
-			h.exits <- RankExit{Rank: rank, Err: fmt.Errorf("daemon %s: %s", h.addr, msg)}
-		}
-	}
-	r := bufio.NewReader(h.conn)
-	for len(pending) > 0 {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			fail(fmt.Sprintf("connection lost: %v", err))
-			return
-		}
-		var ev daemonEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			fail(fmt.Sprintf("bad event: %v", err))
-			return
-		}
-		switch ev.Event {
-		case "line":
-			w := h.block.stdout()
-			if ev.Stream == "stderr" {
-				w = h.block.stderr()
-			}
-			fmt.Fprintf(w, "%s%s\n", rankPrefix(h.procs[ev.Rank], h.host), ev.Text)
-		case "exit":
-			if pending[ev.Rank] {
-				delete(pending, ev.Rank)
-				h.exits <- RankExit{Rank: ev.Rank, Err: errForExit(ev.Code, ev.Msg)}
-			}
-		case "error":
-			fail(ev.Msg)
-			return
-		}
-	}
-}
-
-// errForExit converts a daemon exit event into the error shape the
-// supervisor's failure report expects (matching exec.ExitError's text).
-func errForExit(code int, msg string) error {
-	if msg != "" {
-		return fmt.Errorf("%s (exit status %d)", msg, code)
-	}
-	if code == 0 {
-		return nil
-	}
-	return fmt.Errorf("exit status %d", code)
-}
-
-// Exits implements Handle.
-func (h *daemonHandle) Exits() <-chan RankExit { return h.exits }
-
-// Kill implements Handle by asking the daemon; rank < 0 kills the whole
-// block. Best effort: a dead connection already failed every rank.
-func (h *daemonHandle) Kill(rank int) {
-	_ = h.send(daemonRequest{Op: "kill", Rank: rank})
-}
-
-// Wait implements Handle: output lines arrive on the same stream as exits,
-// so the reader finishing means everything is relayed.
-func (h *daemonHandle) Wait() { <-h.done }

@@ -2,6 +2,7 @@ package mpirun
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -413,37 +414,49 @@ func failureReport(spec *LaunchSpec, exitErr []error, primary int) error {
 // emitted intact; longer ones degrade to prefixed chunks of this size.
 const relayBufSize = 1 << 20
 
-// relay copies a child stream line by line with a rank prefix. A line longer
-// than relayBufSize is degraded to prefixed chunks rather than truncating
-// the stream: the Scanner this replaces stopped at its first ErrTooLong and
-// silently discarded everything the child printed afterwards — including
-// the panic traces and oversized log records that most need relaying. Read
-// errors other than EOF are reported to the launcher's stderr so a dying
-// pipe is visible instead of looking like a quiet child.
+// relay copies a child stream line by line with a rank prefix. Read errors
+// other than EOF are reported to the launcher's stderr so a dying pipe is
+// visible instead of looking like a quiet child.
 func relay(dst io.Writer, src io.Reader, prefix string, wg *sync.WaitGroup) {
 	defer wg.Done()
+	err := scanLines(src, func(line []byte) { fmt.Fprintf(dst, "%s%s\n", prefix, line) })
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mphrun: output relay for %sstream failed: %v\n", prefix, err)
+	}
+}
+
+// scanLines calls emit with each line of src, without its "\n" or "\r\n"
+// terminator, until EOF (nil) or a read error. A line longer than
+// relayBufSize is degraded to chunks of that size rather than truncating
+// the stream: a Scanner stops at its first ErrTooLong and silently discards
+// everything the child prints afterwards — including the panic traces and
+// oversized log records that most need relaying. The slice passed to emit
+// is only valid during the call.
+func scanLines(src io.Reader, emit func(line []byte)) error {
 	br := bufio.NewReaderSize(src, relayBufSize)
 	for {
 		line, err := br.ReadSlice('\n')
 		if len(line) > 0 {
-			if n := len(line); line[n-1] == '\n' {
-				line = line[:n-1]
-				if m := len(line); m > 0 && line[m-1] == '\r' {
-					line = line[:m-1]
-				}
+			if line[len(line)-1] == '\n' {
+				line = trimEOL(line)
 			}
-			fmt.Fprintf(dst, "%s%s\n", prefix, line)
+			emit(line)
 		}
 		switch {
 		case err == nil:
 		case errors.Is(err, bufio.ErrBufferFull):
 			// Oversized line: the full buffer was just emitted as one
-			// prefixed chunk; keep draining the rest of the same line.
+			// chunk; keep draining the rest of the same line.
 		case errors.Is(err, io.EOF):
-			return
+			return nil
 		default:
-			fmt.Fprintf(os.Stderr, "mphrun: output relay for %sstream failed: %v\n", prefix, err)
-			return
+			return err
 		}
 	}
+}
+
+// trimEOL strips one trailing "\n", then one trailing "\r".
+func trimEOL(line []byte) []byte {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r"))
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -156,9 +155,19 @@ func (*LocalSpawner) Name() string { return "local" }
 func (*LocalSpawner) WantsRoutable() bool { return false }
 
 // Spawn implements Spawner by exec'ing each rank's command with the launch
-// context in its environment.
+// context in its environment, wiring output relays and process-group
+// isolation, and reaping each rank. On any start error the already-started
+// ranks are killed and nothing survives.
 func (s *LocalSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
+	h := &procHandle{
+		exits:    make(chan RankExit, len(block.Procs)),
+		children: make(map[int]*procChild, len(block.Procs)),
+	}
+	abort := func(err error) (Handle, error) {
+		h.Kill(-1)
+		return nil, err
+	}
+	for _, p := range block.Procs {
 		cmd := exec.Command(p.Argv[0], p.Argv[1:]...)
 		env := Env{
 			Rank:         p.Rank,
@@ -170,15 +179,84 @@ func (s *LocalSpawner) Spawn(ctx context.Context, host string, block Block) (Han
 		}
 		cmd.Env = dedupEnv(append(append(append(os.Environ(),
 			env.Environ()...), block.ExtraEnv...), p.Env...))
-		return cmd, false, nil
-	})
+		c := &procChild{cmd: cmd, rank: p.Rank}
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			return abort(err)
+		}
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			return abort(err)
+		}
+		setProcGroup(cmd)
+		if err := cmd.Start(); err != nil {
+			return abort(fmt.Errorf("start %q (rank %d): %w", strings.Join(p.Argv, " "), p.Rank, err))
+		}
+		prefix := rankPrefix(p, host)
+		c.relays.Add(2)
+		go relay(block.stdout(), stdout, prefix, &c.relays)
+		go relay(block.stderr(), stderr, prefix, &c.relays)
+		h.children[p.Rank] = c
+	}
+	// Reap each child on its own goroutine so a process that dies before the
+	// rendezvous completes surfaces immediately instead of leaving the
+	// launcher waiting out the timeout. The relays drain to EOF first:
+	// cmd.Wait closes the pipes, and would drop the child's last lines.
+	for _, c := range h.children {
+		h.reapWG.Add(1)
+		go func(c *procChild) {
+			defer h.reapWG.Done()
+			c.relays.Wait()
+			h.exits <- RankExit{Rank: c.rank, Err: c.cmd.Wait()}
+		}(c)
+	}
+	go func() {
+		h.reapWG.Wait()
+		close(h.exits)
+	}()
+	return h, nil
 }
 
-// ExecSpawner runs every rank through the agent command ("mphrun
-// agent-exec") on the launcher's own host, treating host assignments as
-// labels only. It exercises the full remote path — agent protocol, env
-// forwarding, host topology, remote kill — without an ssh daemon, which is
-// what CI runs.
+// procChild is one rank started directly by the local spawner.
+type procChild struct {
+	cmd  *exec.Cmd
+	rank int
+	// relays counts the child's two output relays still draining; the
+	// reaper waits for them before cmd.Wait, which closes the pipes.
+	relays sync.WaitGroup
+}
+
+// procHandle supervises the directly started ranks of one block.
+type procHandle struct {
+	exits    chan RankExit
+	children map[int]*procChild
+	reapWG   sync.WaitGroup
+}
+
+// Exits implements Handle.
+func (h *procHandle) Exits() <-chan RankExit { return h.exits }
+
+// Kill implements Handle by killing the rank's process group.
+func (h *procHandle) Kill(rank int) {
+	if rank < 0 {
+		for _, c := range h.children {
+			killTree(c.cmd)
+		}
+		return
+	}
+	if c, ok := h.children[rank]; ok {
+		killTree(c.cmd)
+	}
+}
+
+// Wait implements Handle.
+func (h *procHandle) Wait() { h.reapWG.Wait() }
+
+// ExecSpawner runs each host block through one agent process ("mphrun
+// agent") on the launcher's own host, treating host assignments as labels
+// only. It exercises the full remote path — the host-agent session, env
+// and registration shipping, host topology, remote kill — without an ssh
+// daemon, which is what CI runs.
 type ExecSpawner struct {
 	// AgentPath is the agent binary ("" = this executable).
 	AgentPath string
@@ -196,19 +274,17 @@ func (*ExecSpawner) Name() string { return "exec" }
 // loopback.
 func (*ExecSpawner) WantsRoutable() bool { return false }
 
-// Spawn implements Spawner by running one local agent process per rank.
+// Spawn implements Spawner by running one local agent for the block.
 func (s *ExecSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
 	agent, err := resolveAgentPath(s.AgentPath)
 	if err != nil {
 		return nil, err
 	}
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
-		return exec.Command(agent, agentArgs(host, block, p)...), true, nil
-	})
+	return spawnAgent(exec.Command(agent, "agent"), host, block)
 }
 
-// SSHSpawner runs each rank by executing the agent command on its assigned
-// host via ssh. The agent binary must exist at the same path on every remote
+// SSHSpawner runs each host block through one agent started on the host
+// via ssh. The agent binary must exist at the same path on every remote
 // host.
 type SSHSpawner struct {
 	// AgentPath is the agent binary ("" = this executable's path, assumed
@@ -250,21 +326,24 @@ func (s *SSHSpawner) sshArgs(host string) []string {
 	return append(args, host)
 }
 
-// Spawn implements Spawner by running the agent command on each rank's host
-// via ssh; unpinned ranks run through the local agent so supervision is
-// uniform.
+// Spawn implements Spawner by running the agent on the block's host via
+// ssh; unpinned ranks run through a local agent so supervision is uniform.
 func (s *SSHSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
 	agent, err := resolveAgentPath(s.AgentPath)
 	if err != nil {
 		return nil, err
 	}
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
-		if host == "" {
-			return exec.Command(agent, agentArgs(host, block, p)...), true, nil
-		}
-		remote := shellJoin(append([]string{agent}, agentArgs(host, block, p)...))
-		return exec.Command(s.ssh(), append(s.sshArgs(host), remote)...), true, nil
-	})
+	return spawnAgent(s.agentCommand(agent, host), host, block)
+}
+
+// agentCommand returns the command that starts the agent for host's block:
+// `ssh [options] host '<agent>' 'agent'`, or the agent itself for the
+// launcher's own host.
+func (s *SSHSpawner) agentCommand(agent, host string) *exec.Cmd {
+	if host == "" {
+		return exec.Command(agent, "agent")
+	}
+	return exec.Command(s.ssh(), append(s.sshArgs(host), shellJoin([]string{agent, "agent"}))...)
 }
 
 // sshProbeTimeout bounds one host's pre-launch `ssh host true` check.
@@ -302,171 +381,51 @@ func resolveAgentPath(path string) (string, error) {
 	return self, nil
 }
 
-// agentArgs builds the agent-exec argument list for one rank: the launch
-// context as flags, the forwarded environment as repeated -env flags, and
-// the rank's command after "--".
-func agentArgs(host string, block Block, p Proc) []string {
-	args := []string{
-		"agent-exec",
-		"-rank", strconv.Itoa(p.Rank),
-		"-size", strconv.Itoa(block.Size),
-		"-rendezvous", block.Rendezvous,
-	}
-	if host != "" {
-		args = append(args, "-host", host)
-	}
-	if block.Bind != "" {
-		args = append(args, "-bind", block.Bind)
-	}
-	if block.Regdata != "" {
-		args = append(args, "-regdata", block.Regdata)
-	}
-	for _, kv := range block.Passthrough {
-		args = append(args, "-env", kv)
-	}
-	for _, kv := range block.ExtraEnv {
-		args = append(args, "-env", kv)
-	}
-	for _, kv := range p.Env {
-		args = append(args, "-env", kv)
-	}
-	args = append(args, "--")
-	return append(args, p.Argv...)
-}
-
-// procChild is one locally started process of a block: the rank itself, its
-// agent, or its ssh client.
-type procChild struct {
-	cmd  *exec.Cmd
-	rank int
-
-	// agentIn is the agent's stdin (nil for direct spawns): writing "kill\n"
-	// — or just closing it — makes the agent SIGKILL the rank's process
-	// group wherever it runs.
-	agentIn io.WriteCloser
-	// done is closed once the child has been reaped; it cancels the kill
-	// backstop.
-	done chan struct{}
-	// relays counts the child's two output relays still draining; the
-	// reaper waits for them before cmd.Wait, which closes the pipes.
-	relays sync.WaitGroup
-
-	killOnce sync.Once
-}
-
-// kill terminates the rank's process group. Direct children are killed
-// immediately; agent-backed children are asked through the agent's stdin
-// (which kills the remote process group), with a local process-tree kill
-// after agentKillBackstop in case the agent itself is gone or wedged.
-func (c *procChild) kill() {
-	c.killOnce.Do(func() {
-		if c.agentIn == nil {
-			killTree(c.cmd)
-			return
-		}
-		// Best effort: a dead agent just means the write fails and the
-		// backstop fires.
-		_, _ = io.WriteString(c.agentIn, "kill\n")
-		c.agentIn.Close()
-		go func() {
-			select {
-			case <-c.done:
-			case <-time.After(agentKillBackstop):
-				killTree(c.cmd)
-			}
-		}()
-	})
-}
-
-// procHandle supervises the per-process children of one block for the
-// local, exec, and ssh spawners.
-type procHandle struct {
-	exits    chan RankExit
-	children map[int]*procChild
-	reapWG   sync.WaitGroup
-}
-
-// spawnProcs starts one OS process per rank of the block — assembled by
-// command, which also reports whether the process is an agent with a stdin
-// kill channel — wiring output relays and process-group isolation, and
-// begins reaping. On any start error the already-started ranks are killed
-// and nothing survives.
-func spawnProcs(host string, block Block, command func(p Proc) (*exec.Cmd, bool, error)) (*procHandle, error) {
-	h := &procHandle{
-		exits:    make(chan RankExit, len(block.Procs)),
-		children: make(map[int]*procChild, len(block.Procs)),
-	}
-	abort := func(err error) (*procHandle, error) {
-		h.Kill(-1)
+// spawnAgent starts cmd — the agent, or the ssh client that runs it on
+// host — and supervises the host's block over a session on its stdio. The
+// process's own stderr (ssh diagnostics, agent failures) is relayed tagged
+// with the host.
+func spawnAgent(cmd *exec.Cmd, host string, block Block) (Handle, error) {
+	label := "agent" + hostTag(host)
+	a := &agentConn{cmd: cmd}
+	var err error
+	if a.WriteCloser, err = cmd.StdinPipe(); err != nil {
 		return nil, err
 	}
-	for _, p := range block.Procs {
-		cmd, isAgent, err := command(p)
-		if err != nil {
-			return abort(err)
-		}
-		c := &procChild{cmd: cmd, rank: p.Rank, done: make(chan struct{})}
-		if isAgent {
-			stdin, err := cmd.StdinPipe()
-			if err != nil {
-				return abort(err)
-			}
-			c.agentIn = stdin
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return abort(err)
-		}
-		stderr, err := cmd.StderrPipe()
-		if err != nil {
-			return abort(err)
-		}
-		setProcGroup(cmd)
-		if err := cmd.Start(); err != nil {
-			return abort(fmt.Errorf("start %q (rank %d): %w", strings.Join(p.Argv, " "), p.Rank, err))
-		}
-		prefix := rankPrefix(p, host)
-		c.relays.Add(2)
-		go relay(block.stdout(), stdout, prefix, &c.relays)
-		go relay(block.stderr(), stderr, prefix, &c.relays)
-		h.children[p.Rank] = c
+	if a.Reader, err = cmd.StdoutPipe(); err != nil {
+		return nil, err
 	}
-	// Reap each child on its own goroutine so a process that dies before the
-	// rendezvous completes surfaces immediately instead of leaving the
-	// launcher waiting out the timeout. The relays drain to EOF first:
-	// cmd.Wait closes the pipes, and would drop the child's last lines.
-	for _, c := range h.children {
-		h.reapWG.Add(1)
-		go func(c *procChild) {
-			defer h.reapWG.Done()
-			c.relays.Wait()
-			err := c.cmd.Wait()
-			close(c.done)
-			h.exits <- RankExit{Rank: c.rank, Err: err}
-		}(c)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		return nil, err
 	}
-	go func() {
-		h.reapWG.Wait()
-		close(h.exits)
-	}()
-	return h, nil
+	setProcGroup(cmd)
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("%s: start %q: %w", label, strings.Join(cmd.Args, " "), err)
+	}
+	a.relays.Add(1)
+	go relay(block.stderr(), stderr, "["+label+"] ", &a.relays)
+	return startSession(a, label, host, block, func() { killTree(cmd) })
 }
 
-// Exits implements Handle.
-func (h *procHandle) Exits() <-chan RankExit { return h.exits }
-
-// Kill implements Handle.
-func (h *procHandle) Kill(rank int) {
-	if rank < 0 {
-		for _, c := range h.children {
-			c.kill()
-		}
-		return
-	}
-	if c, ok := h.children[rank]; ok {
-		c.kill()
-	}
+// agentConn carries a session over an agent process's stdout (Reader) and
+// stdin (WriteCloser); the process may be the ssh client running one.
+type agentConn struct {
+	io.Reader
+	io.WriteCloser
+	cmd *exec.Cmd
+	// relays is the process's stderr relay, drained before cmd.Wait closes
+	// the pipe.
+	relays sync.WaitGroup
 }
 
-// Wait implements Handle.
-func (h *procHandle) Wait() { h.reapWG.Wait() }
+// Close hangs up — stdin EOF makes the agent tear its block down and exit —
+// and reaps the process, killing its tree if it has not exited within
+// agentKillBackstop. It returns the process's exit error.
+func (a *agentConn) Close() error {
+	a.WriteCloser.Close()
+	t := time.AfterFunc(agentKillBackstop, func() { killTree(a.cmd) })
+	defer t.Stop()
+	a.relays.Wait()
+	return a.cmd.Wait()
+}

@@ -3,6 +3,7 @@ package mpirun
 import (
 	"context"
 	"fmt"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,5 +195,31 @@ func TestRendezvousConcurrentRegistration(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAgentKillBackstop pins the safety net of the pipe carriers: an agent
+// that takes the spawn request but never acts on a kill request is killed,
+// process tree and all, agentKillBackstop after Kill, and the block's
+// pending ranks fail with the lost session, named by host, instead of
+// hanging the launcher.
+func TestAgentKillBackstop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	wedged := exec.Command("/bin/sh", "-c", "read req; sleep 60")
+	block := Block{Size: 1, Procs: []Proc{{Rank: 0, Argv: []string{"/bin/true"}}}, Rendezvous: "127.0.0.1:1"}
+	h, err := spawnAgent(wedged, "nodeA", block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	h.Kill(-1)
+	exits := collectExits(t, h, 1)
+	if elapsed := time.Since(start); elapsed < agentKillBackstop || elapsed > agentKillBackstop+10*time.Second {
+		t.Errorf("block ended %v after Kill, want just after the %v backstop", elapsed, agentKillBackstop)
+	}
+	if err := exits[0]; err == nil || !strings.Contains(err.Error(), "agent@nodeA: connection lost") {
+		t.Errorf("rank 0 err %v, want agent@nodeA: connection lost", err)
 	}
 }

@@ -276,22 +276,22 @@ func TestLaunchSpecValidate(t *testing.T) {
 	}
 }
 
-func TestAgentArgs(t *testing.T) {
-	p := Proc{Rank: 0, Host: "node-a", Argv: []string{"./worker", "-v"}, Env: []string{"RANK_ONLY=1"}}
-	block := Block{
-		Procs:       []Proc{p},
-		Size:        1,
-		Rendezvous:  "10.0.0.1:4000",
-		Regdata:     "QUJD",
-		ExtraEnv:    []string{"MPH_STATS_DIR=/tmp/stats"},
-		Passthrough: []string{"MPH_FAULT=x"},
+// TestSSHAgentCommand pins the ssh backend's remote command line: the
+// batch-mode options, the caller's options and the host, then the agent
+// path and its one argument as a single quoted remote command. Launch
+// context, environment and registration travel in the session, so nothing
+// else may appear. Unpinned ranks run the agent locally.
+func TestSSHAgentCommand(t *testing.T) {
+	sp := NewSSHSpawner("/opt/mph bin/mphrun", []string{"-p", "2222"})
+	got := sp.agentCommand("/opt/mph bin/mphrun", "node-a").Args
+	want := []string{"ssh", "-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new",
+		"-p", "2222", "node-a", "'/opt/mph bin/mphrun' 'agent'"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("remote agent command:\n got %q\nwant %q", got, want)
 	}
-	args := agentArgs("node-a", block, p)
-	joined := strings.Join(args, " ")
-	want := "agent-exec -rank 0 -size 1 -rendezvous 10.0.0.1:4000 -host node-a " +
-		"-regdata QUJD -env MPH_FAULT=x -env MPH_STATS_DIR=/tmp/stats -env RANK_ONLY=1 -- ./worker -v"
-	if joined != want {
-		t.Errorf("agentArgs:\n got %q\nwant %q", joined, want)
+	local := sp.agentCommand("/opt/mph bin/mphrun", "").Args
+	if want := []string{"/opt/mph bin/mphrun", "agent"}; !reflect.DeepEqual(local, want) {
+		t.Errorf("local agent command: got %q, want %q", local, want)
 	}
 }
 
@@ -312,8 +312,8 @@ func TestPassthroughEnv(t *testing.T) {
 }
 
 func TestShellJoin(t *testing.T) {
-	got := shellJoin([]string{"/usr/bin/mphrun", "agent-exec", "-env", `A=x y`, "-env", `B=it's`})
-	want := `'/usr/bin/mphrun' 'agent-exec' '-env' 'A=x y' '-env' 'B=it'\''s'`
+	got := shellJoin([]string{"/usr/bin/mphrun", "agent", `A=x y`, `B=it's`})
+	want := `'/usr/bin/mphrun' 'agent' 'A=x y' 'B=it'\''s'`
 	if got != want {
 		t.Errorf("shellJoin:\n got %s\nwant %s", got, want)
 	}

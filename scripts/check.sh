@@ -15,9 +15,9 @@
 # the receiver's buffer — for 1 MiB messages). The P2 smoke runs one cell of
 # the eager/rendezvous sweep so the mphbench TCP-pair harness stays
 # executable. The multi-host smoke launches the climate example across two
-# placement hosts through the exec backend (the full agent spawn path, minus
-# ssh) with stats on, so the remote-launch machinery stays exercised end to
-# end without an sshd. The telemetry smoke reruns that job with live
+# placement hosts through the exec backend (one agent per host serving the
+# host-agent session on its stdio — the ssh path minus ssh) with stats on,
+# so the remote-launch machinery stays exercised end to end without an sshd. The telemetry smoke reruns that job with live
 # reporting on and scrapes the launcher's Prometheus /metrics endpoint
 # mid-run (scripts/httpget, so no curl dependency), then asserts the final
 # summary reconciles sent == received job-wide. The shm smoke places all five ranks on ONE host with rendezvous forced
@@ -27,7 +27,7 @@
 # The mpirun race step covers the rank↔launcher control session: rendezvous,
 # clock sync, telemetry reports, the abort relay and the launcher lease.
 # The daemon smoke starts a real mphd and launches the climate job through it
-# (-backend daemon), proving the persistent-agent path works outside the unit
+# (-backend daemon), proving the same session works over TCP outside the unit
 # tests; the L1 smoke keeps the launch-latency harness executable.
 set -eux
 
@@ -101,7 +101,7 @@ trap 'kill "$mphd_pid" 2>/dev/null; rm -rf "$smoke"' EXIT
 grep -q "totals reconcile" "$smoke/daemon.out"
 
 # L1 smoke: one repetition of the gang-launch latency sweep, so the
-# launch-latency harness (worker mode, agent-exec dispatch, in-process
+# launch-latency harness (worker mode, the agent subcommand, in-process
 # daemon) stays executable.
 go run ./cmd/mphbench -exp L1 -repeat 1 -launchout /tmp/bench_launch.$$.json
 rm -f /tmp/bench_launch.$$.json
